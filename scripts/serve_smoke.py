@@ -13,7 +13,12 @@ take:
    answer is bit-identical to a local ``query_terms_batch`` call;
 4. rotate to a rebuilt index through ``POST /rotate`` mid-stream and keep
    querying — zero failures allowed;
-5. shut the server down cleanly and check it exited.
+5. fire 50 more mixed queries over **one persistent connection** (the way
+   curl, ``requests.Session`` and proxies talk to a server), again
+   bit-identical, with a median round trip under 20 ms — a response split
+   into two TCP segments stalls every keep-alive exchange for ~40 ms, and
+   this is the one place CI would see that return;
+6. shut the server down cleanly and check it exited.
 
 Exit code 0 means the serving path works end to end.  Needs only numpy —
 run as ``PYTHONPATH=src python scripts/serve_smoke.py``.
@@ -21,12 +26,16 @@ run as ``PYTHONPATH=src python scripts/serve_smoke.py``.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+from urllib.parse import urlsplit
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -41,6 +50,8 @@ K = 15
 CONFIG = RamboConfig(num_partitions=4, repetitions=2, bfu_bits=1 << 14, k=K, seed=31)
 NUM_QUERIES = 50
 READY_TIMEOUT_S = 30.0
+#: Median keep-alive round trip allowed; the two-segment stall costs ~44 ms.
+KEEPALIVE_MEDIAN_LIMIT_S = 0.020
 
 
 def build_corpus(directory: Path):
@@ -85,9 +96,17 @@ def wait_ready(ready_file: Path, process: subprocess.Popen) -> str:
     raise SystemExit(f"server not ready within {READY_TIMEOUT_S}s")
 
 
+def request_terms(pool, i: int):
+    """Request *i* of a scenario: four consecutive terms of the mixed pool."""
+    return [pool[(i + j) % len(pool)] for j in range(4)]
+
+
 def check_identity(client: ServeClient, index: Rambo, terms, label: str, coalesce: bool) -> None:
     """One served round-trip vs the local batch engine, bit for bit."""
-    response = client.query(terms, coalesce=coalesce)
+    compare_to_local(client.query(terms, coalesce=coalesce), index, terms, label)
+
+
+def compare_to_local(response, index: Rambo, terms, label: str) -> None:
     local_terms = [normalise_query_term(term, K) for term in terms]
     expected = index.query_terms_batch(local_terms)
     for term, entry, want in zip(terms, response["results"], expected):
@@ -102,6 +121,38 @@ def check_identity(client: ServeClient, index: Rambo, terms, label: str, coalesc
                 f"[{label}] probe count diverged for term {term!r}: "
                 f"served {entry['filters_probed']} vs local {want.filters_probed}"
             )
+
+
+def check_keepalive(url: str, index: Rambo, pool) -> float:
+    """50 mixed requests down one persistent connection; returns the median
+    round trip in seconds."""
+    address = urlsplit(url)
+    connection = http.client.HTTPConnection(address.hostname, address.port, timeout=30.0)
+    round_trips = []
+    try:
+        for i in range(NUM_QUERIES):
+            terms = request_terms(pool, i)
+            body = json.dumps({"terms": terms, "coalesce": i % 3 != 0})
+            begin = time.perf_counter()
+            connection.request(
+                "POST", "/query", body=body, headers={"Content-Type": "application/json"}
+            )
+            reply = connection.getresponse()
+            payload = reply.read()
+            round_trips.append(time.perf_counter() - begin)
+            if reply.status != 200:
+                raise SystemExit(f"[keep-alive {i}] HTTP {reply.status}: {payload[:200]!r}")
+            compare_to_local(json.loads(payload), index, terms, f"keep-alive {i}")
+    finally:
+        connection.close()
+    median = statistics.median(round_trips)
+    if median >= KEEPALIVE_MEDIAN_LIMIT_S:
+        raise SystemExit(
+            f"keep-alive median round trip {median * 1e3:.1f} ms is not under "
+            f"{KEEPALIVE_MEDIAN_LIMIT_S * 1e3:.0f} ms: is every response still one "
+            "segment on a TCP_NODELAY socket?"
+        )
+    return median
 
 
 def main() -> int:
@@ -133,7 +184,7 @@ def main() -> int:
             # 50 mixed queries before and after a mid-stream rotation.
             pool = codes + words
             for i in range(NUM_QUERIES):
-                terms = [pool[(i + j) % len(pool)] for j in range(4)]
+                terms = request_terms(pool, i)
                 check_identity(client, index, terms, f"query {i}", coalesce=i % 3 != 0)
                 if i == NUM_QUERIES // 2:
                     rotated = client.rotate(str(second))
@@ -146,6 +197,11 @@ def main() -> int:
                 f"[serve_smoke] {NUM_QUERIES} queries bit-identical to local "
                 f"engine (cache hits: {stats['cache']['hits']}, "
                 f"coalescer ticks: {stats['coalescer']['ticks']})"
+            )
+            median = check_keepalive(url, index, pool)
+            print(
+                f"[serve_smoke] {NUM_QUERIES} keep-alive queries bit-identical, "
+                f"median round trip {median * 1e3:.2f} ms"
             )
         finally:
             process.terminate()

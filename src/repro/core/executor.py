@@ -29,9 +29,9 @@ default on single-core containers.
 
 Every parallel consumer in the repository is bit-identical to its inline
 form by construction — work is sharded along axes whose results combine
-with order-independent operations (per-term result rows, per-repetition
-bitmap ANDs, per-shard scatters into disjoint columns, Bloom-filter ORs) —
-and the property suite (``tests/test_parallel_exec.py``) asserts it.
+with order-independent operations (per-term result rows, per-shard
+scatters into disjoint columns, Bloom-filter ORs) — and the property
+suite (``tests/test_parallel_exec.py``) asserts it.
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ MIN_TERMS_ENV_VAR = "REPRO_MIN_TERMS_PER_SHARD"
 #: shard minimum at or below its typical tick batch, while an offline bulk
 #: query wants it high enough that threads never fight over tiny shards.
 DEFAULT_MIN_TERMS_PER_SHARD = 64
+
+#: The machine's core count, read once: :func:`get_num_threads` runs on every
+#: query batch and ``os.cpu_count()`` is a system call each time.
+_CPU_COUNT = os.cpu_count() or 1
 
 _lock = threading.Lock()
 _pool: Optional[ThreadPoolExecutor] = None
@@ -94,7 +98,7 @@ def get_num_threads() -> int:
     env = os.environ.get(THREADS_ENV_VAR)
     if env is not None and env.strip():
         return _validate_threads(env, f"{THREADS_ENV_VAR} environment variable")
-    return os.cpu_count() or 1
+    return _CPU_COUNT
 
 
 def set_num_threads(count: Optional[int]) -> None:

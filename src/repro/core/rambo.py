@@ -553,26 +553,6 @@ class Rambo(MembershipIndex):
         """``(n_terms, B)`` membership verdict of every term against every BFU."""
         return probe_words_batch(self._bit_cache[repetition], positions)
 
-    def _parallel_hit_matrices(self, positions: np.ndarray) -> Optional[List[np.ndarray]]:
-        """All ``R`` hit matrices at once, gathered concurrently — or ``None``.
-
-        The repetition plane is embarrassingly parallel: every repetition's
-        ``probe_words_batch`` gather reads its own ``(B, words)`` bit plane
-        with the shared position matrix, and the gathers release the GIL.
-        Pre-computing them in parallel and then replaying the *sequential*
-        combine loop over the ready matrices keeps the combine's early-exit
-        and probe accounting bit-identical to the inline path — the only
-        difference is that a batch that dies early has gathered some planes
-        it will not read, which costs work, never correctness.
-
-        Returns ``None`` when inline evaluation is the right call (single
-        thread, single repetition, or already inside a pool worker), so the
-        caller's loop keeps its lazy per-repetition gathers.
-        """
-        if self.repetitions <= 1 or get_num_threads() <= 1 or in_worker():
-            return None
-        return parallel_map(lambda r: self._hit_matrix(r, positions), range(self.repetitions))
-
     def _candidate_mask(self, hit_partitions: Iterable[int], repetition: int) -> np.ndarray:
         """Bitmap (bool array over doc ids) of the union of the hit BFUs' documents."""
         mask = np.zeros(len(self._doc_names), dtype=bool)
@@ -712,7 +692,6 @@ class Rambo(MembershipIndex):
         num_docs = len(self._doc_names)
         if positions is None:
             positions = self._probe_matrix(terms)
-        hit_planes = self._parallel_hit_matrices(positions)
         alive = np.ones((num_terms, num_docs), dtype=bool)
         probes = np.zeros(num_terms, dtype=np.int64)
         active = np.ones(num_terms, dtype=bool)
@@ -720,7 +699,7 @@ class Rambo(MembershipIndex):
             if not active.any():
                 break
             # (n_terms, B) membership verdicts for repetition r.
-            hits = hit_planes[r] if hit_planes is not None else self._hit_matrix(r, positions)
+            hits = self._hit_matrix(r, positions)
             assignment = self._assignment_arrays[r]          # (num_docs,)
             if method == "full" or r == 0:
                 # First sparse round matches the scalar path: every partition
@@ -770,19 +749,15 @@ class Rambo(MembershipIndex):
     ) -> int:
         """AND one term chunk into *conjunction* in place; returns probes.
 
-        The per-repetition gathers — the chunk's dominant cost — run
-        concurrently on the executor pool (see
-        :meth:`_parallel_hit_matrices`); the AND-combine and the sparse
-        pruning replay sequentially over the ready matrices, so the result
-        and the probe count are bit-identical to the inline evaluation.
+        A repetition's plane is gathered when the loop reaches it, so a
+        chunk that empties the intersection never reads the later planes.
         """
         num_terms = len(terms)
         positions = self._probe_matrix(terms)
-        hit_planes = self._parallel_hit_matrices(positions)
         probes = 0
         for r in range(self.repetitions):
             # (n_terms, B) membership verdicts for repetition r.
-            hits = hit_planes[r] if hit_planes is not None else self._hit_matrix(r, positions)
+            hits = self._hit_matrix(r, positions)
             assignment = self._assignment_arrays[r]
             if method == "full" or r == 0:
                 probes += self.num_partitions * num_terms

@@ -78,14 +78,23 @@ class AnswerCache:
             return result
 
     def lookup(
-        self, snapshot_id: int, method: str, terms: Sequence[Hashable]
+        self,
+        snapshot_id: int,
+        method: str,
+        terms: Sequence[Hashable],
+        count_misses: bool = True,
     ) -> Tuple[Dict[Hashable, QueryResult], List[Hashable]]:
         """Split *terms* into cached answers and the list still to compute.
 
-        One lock acquisition for the whole batch — the shape the coalescer
-        needs: it consults the cache once per tick, sends only the misses to
-        the batch engine, and stores the fresh answers with :meth:`put_many`.
-        Returns ``(answers, missing)`` with *missing* in input order.
+        One lock acquisition for the whole batch — the shape both callers
+        need: the service probes once per request and forwards only the
+        misses to the coalescer, whose tick consults the cache again for
+        the union, sends what is still missing to the batch engine, and
+        stores the fresh answers with :meth:`put_many`.  The request probe
+        passes ``count_misses=False``: its misses are looked up once more by
+        the tick that computes them, and ``hits + misses`` must advance once
+        per term, not twice.  Returns ``(answers, missing)`` with *missing*
+        in input order.
         """
         answers: Dict[Hashable, QueryResult] = {}
         missing: List[Hashable] = []
@@ -94,7 +103,7 @@ class AnswerCache:
                 key = (snapshot_id, method, term)
                 result = self._entries.get(key)
                 if result is None:
-                    self._misses += 1
+                    self._misses += count_misses
                     missing.append(term)
                 else:
                     self._entries.move_to_end(key)

@@ -89,6 +89,13 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
 
     server: ServeHTTPServer  # narrowed for the handlers below
     protocol_version = "HTTP/1.1"
+    # Transport contract: a response's status line, headers and body are
+    # buffered and leave in the single flush ``handle_one_request`` issues
+    # after the handler returns, on a socket with Nagle off.  Unbuffered,
+    # the body was a second small segment that Nagle held back until the
+    # client's delayed ACK (~40 ms) on every keep-alive round trip.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------------------
 
@@ -96,6 +103,15 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         """Per-request stderr logging, silenced by default (quiet server)."""
         if not self.server.quiet:
             super().log_message(format, *args)
+
+    def handle_expect_100(self) -> bool:
+        """Send ``100 Continue`` now, ahead of the buffered response.
+
+        The client holds its body back until it has seen this line.
+        """
+        proceed = super().handle_expect_100()
+        self.wfile.flush()
+        return proceed
 
     def _send_json(self, payload: Dict, status: int = 200) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -110,14 +126,27 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
     def _send_error_json(self, message: str, status: int) -> None:
         self._send_json({"error": message}, status=status)
 
-    def _read_json_body(self) -> Optional[Dict]:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0 or length > MAX_BODY_BYTES:
-            # The body is rejected unread, so whatever the client sent is
-            # still on the socket: close the connection rather than let the
-            # next pipelined request parse from mid-body.
+    def _content_length(self, lowest: int = 0, highest: Optional[int] = None) -> Optional[int]:
+        """The declared body size, or ``None`` after answering 400.
+
+        Only plain ASCII digits count: ``int()`` would also take ``+5``,
+        ``1_0`` or a padded ``5 ``, which a proxy in front may frame
+        differently.  A rejected body (malformed, negative, outside
+        ``[lowest, highest]``) is left unread, so whatever the client sent
+        is still on the socket: close the connection rather than let the
+        next pipelined request parse from mid-body.
+        """
+        raw = self.headers.get("Content-Length") or "0"
+        length = int(raw) if raw.isascii() and raw.isdigit() else -1
+        if length < lowest or (highest is not None and length > highest):
             self.close_connection = True
-            self._send_error_json(f"bad Content-Length {length}", 400)
+            self._send_error_json(f"bad Content-Length {raw!r}", 400)
+            return None
+        return length
+
+    def _read_json_body(self) -> Optional[Dict]:
+        length = self._content_length(lowest=1, highest=MAX_BODY_BYTES)
+        if length is None:
             return None
         try:
             payload = json.loads(self.rfile.read(length).decode("utf-8"))
@@ -344,23 +373,28 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             }
         )
 
-    def _drain_body(self) -> None:
+    def _drain_body(self) -> bool:
         """Read and discard the request body — fully, however large — so no
         unread bytes corrupt the next pipelined request on this
-        keep-alive connection."""
-        remaining = int(self.headers.get("Content-Length", 0) or 0)
+        keep-alive connection.  ``False`` (400 already sent) when the
+        declared length is unusable."""
+        remaining = self._content_length()
+        if remaining is None:
+            return False
         while remaining > 0:
             chunk = self.rfile.read(min(remaining, 1 << 20))
             if not chunk:
                 break
             remaining -= len(chunk)
+        return True
 
     def _handle_compact(self) -> None:
+        # /compact takes no parameters, so an empty body is legal.
+        if not self._drain_body():
+            return
         ingest = self._writable_ingest()
         if ingest is None:
             return
-        # /compact takes no parameters, so an empty body is legal.
-        self._drain_body()
         try:
             record = ingest.compact()
         except Exception as exc:  # noqa: BLE001 - surfaced as a 500, not a dead socket
@@ -422,6 +456,9 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         self.send_header("X-Wal-Start-Offset", str(offset))
         self.send_header("X-Wal-Records", str(committed))
         self.end_headers()
+        # The standby reads its lag off these headers: do not let them sit
+        # in the write buffer while the first long-poll waits for records.
+        self.wfile.flush()
         cursor = offset
         try:
             while True:
@@ -494,6 +531,9 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
                 if not chunk:
                     break
                 self.wfile.write(chunk)
+            # The buffered tail goes out here, where a standby that hung up
+            # mid-copy is still caught, not in handle_one_request's flush.
+            self.wfile.flush()
         except OSError:
             self.close_connection = True
         finally:
@@ -525,14 +565,14 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
 
     def _handle_promote(self) -> None:
         """Promote a standby to primary; idempotent on an existing primary."""
-        service = self.server.service
-        ingest = service.ingest
+        if not self._drain_body():
+            return
+        ingest = self.server.service.ingest
         if ingest is None:
             self._send_error_json(
                 "nothing to promote: streaming ingest is not enabled", 400
             )
             return
-        self._drain_body()
         promote = getattr(ingest, "promote", None)
         if not callable(promote):
             self._send_json(

@@ -9,13 +9,19 @@ The composition contract, end to end:
 1. A client calls :meth:`QueryService.query` with its terms.  Terms are
    canonicalised (numpy integers become plain ``int``) so cache keys are
    stable across callers.
-2. The request joins the coalescer's current tick; one resolver call per
+2. The request probes the answer cache on the caller's own thread, under a
+   brief snapshot lease.  A fully cached request is answered right there —
+   no tick, no thread hand-off; otherwise only the misses go on.
+3. The misses join the coalescer's current tick; one resolver call per
    query method answers the tick's deduplicated term union.
-3. The resolver takes a **snapshot lease** for the whole tick, consults the
+4. The resolver takes a **snapshot lease** for the whole tick, consults the
    answer cache under the leased snapshot's id, sends only the misses to
    ``query_terms_batch``, and stores the fresh answers back under the same
-   id.  Every answer in the tick therefore describes one single snapshot.
-4. :meth:`QueryService.rotate` / :meth:`QueryService.swap` atomically flip
+   id.  Every answer in the tick therefore describes one single snapshot —
+   and if that is not the snapshot step 2 probed (a swap landed in
+   between), the whole request is re-resolved through one tick rather
+   than stitched from two generations.
+5. :meth:`QueryService.rotate` / :meth:`QueryService.swap` atomically flip
    the active-snapshot pointer; the retire hook invalidates the retired
    snapshot's cache entries, and in-flight ticks drain against the old
    snapshot before it is dropped.
@@ -27,6 +33,8 @@ against (it still leases, so rotation safety is identical).
 
 from __future__ import annotations
 
+import threading
+import time
 from pathlib import Path
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
@@ -36,7 +44,12 @@ from repro.core.base import QUERY_METHODS, QueryResult, check_query_method
 from repro.core.rambo import Rambo
 from repro.core.serialization import describe_index
 from repro.serve.cache import DEFAULT_CACHE_SIZE, AnswerCache
-from repro.serve.coalescer import DEFAULT_TICK_SECONDS, RequestCoalescer, ServedBatch
+from repro.serve.coalescer import (
+    DEFAULT_TICK_SECONDS,
+    RequestCoalescer,
+    ServedBatch,
+    ServiceClosed,
+)
 from repro.serve.snapshot import Snapshot, SnapshotManager
 
 PathLike = Union[str, Path]
@@ -99,6 +112,11 @@ class QueryService:
             "by_method": {},
         }
         self._closed = False
+        # Requests are counted here, not in the coalescer: one answered
+        # wholly from the cache never reaches the ticker.
+        self._counter_lock = threading.Lock()
+        self._requests = 0
+        self._cache_only_requests = 0
         if path is not None:
             self._reload_artifacts(path)
 
@@ -161,13 +179,35 @@ class QueryService:
 
         Bit-identical — documents and probe counts — to calling
         ``query_terms_batch(terms, method=method)`` on the snapshot named by
-        the returned batch's ``snapshot_id``.  Blocks for at most one tick
-        plus the batch evaluation; *timeout* bounds the wait.
+        the returned batch's ``snapshot_id``.  A request whose terms are
+        all cached returns without waiting; any other blocks for at most
+        one tick plus the batch evaluation, and *timeout* bounds the wait.
         """
         check_query_method(method)
-        return self.coalescer.submit(
-            [canonical_term(term) for term in terms], method, timeout=timeout
-        )
+        if self._closed:
+            raise ServiceClosed("query service is shut down")
+        deadline = None if timeout is None else time.monotonic() + timeout
+        terms = [canonical_term(term) for term in terms]
+        with self.snapshots.lease() as snapshot:
+            snapshot_id = snapshot.snapshot_id
+            answers, missing = self.cache.lookup(
+                snapshot_id, method, list(dict.fromkeys(terms)), count_misses=False
+            )
+        with self._counter_lock:
+            self._requests += 1
+            self._cache_only_requests += not missing
+        if missing:
+            batch = self.coalescer.submit(missing, method, timeout=timeout)
+            if answers and batch.snapshot_id != snapshot_id:
+                # A swap landed between the probe and the tick: the cached
+                # answers describe a retired snapshot.  Never stitch two
+                # generations together — one tick re-answers every term.
+                if deadline is not None:
+                    timeout = max(0.0, deadline - time.monotonic())
+                return self.coalescer.submit(terms, method, timeout=timeout)
+            snapshot_id = batch.snapshot_id
+            answers.update(zip(missing, batch.results))
+        return ServedBatch(snapshot_id, [answers[term] for term in terms])
 
     def query_direct(self, terms: Sequence[Hashable], method: str = "full") -> ServedBatch:
         """Uncoalesced, uncached per-request serving (the baseline path).
@@ -306,7 +346,11 @@ class QueryService:
     # -- observability / lifecycle ------------------------------------------------------
 
     def stats(self, fill: bool = False) -> Dict:
-        """JSON-ready service state: snapshots, cache, coalescer, index.
+        """JSON-ready service state: requests, snapshots, cache, coalescer, index.
+
+        ``service.requests`` counts every :meth:`query` call and
+        ``service.cache_only_requests`` those answered without a tick;
+        ``coalescer.requests`` counts only what reached the ticker.
 
         The index description comes from the same
         :func:`repro.core.serialization.describe_index` code path as
@@ -319,7 +363,13 @@ class QueryService:
             assert snapshot.index is not None
             index_record = describe_index(snapshot.index, snapshot.path, fill=fill)
         counters = self._plan_counters
+        with self._counter_lock:
+            service_record = {
+                "requests": self._requests,
+                "cache_only_requests": self._cache_only_requests,
+            }
         record = {
+            "service": service_record,
             "snapshots": self.snapshots.stats(),
             "cache": self.cache.stats(),
             "coalescer": self.coalescer.stats(),

@@ -45,9 +45,12 @@ THREAD_COUNTS = (1, 2, 7)
 def _clean_executor_state(monkeypatch):
     """Each test starts from the no-override, no-env default and leaks nothing."""
     monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    monkeypatch.delenv(executor.MIN_TERMS_ENV_VAR, raising=False)
     set_num_threads(None)
+    executor.set_min_terms_per_shard(None)
     yield
     set_num_threads(None)
+    executor.set_min_terms_per_shard(None)
 
 
 def rambo_config(**overrides) -> RamboConfig:
@@ -372,13 +375,6 @@ class TestParallelBuildIdentity:
 class TestMinTermsPerShard:
     """The 64-terms-per-shard floor is tunable; tuning it never changes answers."""
 
-    @pytest.fixture(autouse=True)
-    def _clean_min_terms_state(self, monkeypatch):
-        monkeypatch.delenv(executor.MIN_TERMS_ENV_VAR, raising=False)
-        executor.set_min_terms_per_shard(None)
-        yield
-        executor.set_min_terms_per_shard(None)
-
     def test_default_is_64(self):
         assert executor.get_min_terms_per_shard() == executor.DEFAULT_MIN_TERMS_PER_SHARD == 64
 
@@ -421,3 +417,105 @@ class TestMinTermsPerShard:
         with num_threads(4), executor.min_terms_per_shard(floor):
             observed = fingerprint(built_rambo.query_terms_batch(query_terms))
         assert observed == reference
+
+
+# -- small batches: below the floor nothing touches the pool --------------------------
+
+
+def _small_batch_index(kind: str, small_dataset, config: RamboConfig, tmp_path):
+    """One index per serving shape: in-memory, mmap-opened, base+delta overlay."""
+    from repro.ingest import DeltaOverlayIndex
+
+    documents = small_dataset.documents
+    if kind == "overlay":
+        base, delta = Rambo(config), Rambo(config)
+        base.add_documents(documents[:20])
+        delta.add_documents(documents[20:])
+        return DeltaOverlayIndex(base, delta)
+    index = Rambo(config)
+    index.add_documents(documents)
+    if kind == "mapped":
+        path = tmp_path / "small-batch.rambo2"
+        save_index(index, path, format="mmap")
+        index = open_index(path)
+        assert index.is_mapped
+    return index
+
+
+class TestSmallBatchIdentity:
+    """Batches around the term-shard floor, where a served request lives:
+    the same bits as the scalar path, and no pool hand-off to get them."""
+
+    FLOORS = (1, 64)
+
+    @staticmethod
+    def _sizes(floor: int):
+        return sorted({1, 8, floor - 1, floor, floor + 1} - {0})
+
+    @pytest.mark.parametrize("method", ["full", "sparse"])
+    @pytest.mark.parametrize("kind", ["memory", "mapped", "overlay"])
+    def test_batch_matches_scalar_query_term(
+        self, small_dataset, small_rambo_config, query_terms, tmp_path, kind, method
+    ):
+        index = _small_batch_index(kind, small_dataset, small_rambo_config, tmp_path)
+        terms = query_terms[: max(self.FLOORS) + 1]
+        scalar = fingerprint([index.query_term(term, method=method) for term in terms])
+        for floor in self.FLOORS:
+            for threads in THREAD_COUNTS:
+                for size in self._sizes(floor):
+                    with num_threads(threads), executor.min_terms_per_shard(floor):
+                        observed = fingerprint(
+                            index.query_terms_batch(terms[:size], method=method)
+                        )
+                    assert observed == scalar[:size], (
+                        f"{kind} {method} floor={floor} threads={threads} size={size}"
+                    )
+
+    @pytest.mark.parametrize("method", ["full", "sparse"])
+    @pytest.mark.parametrize("kind", ["memory", "mapped", "overlay"])
+    def test_conjunction_matches_scalar_query_term(
+        self, small_dataset, small_rambo_config, tmp_path, kind, method
+    ):
+        """Documents are the intersection of the scalar per-term answers.  A
+        conjunction's probe count has no scalar twin (it stops when the
+        *running intersection* empties), so that is held to the strictly
+        inline evaluation instead."""
+        index = _small_batch_index(kind, small_dataset, small_rambo_config, tmp_path)
+        terms = sorted(small_dataset.documents[0].terms)[: max(self.FLOORS) + 1]
+        scalar = [index.query_term(term, method=method).documents for term in terms]
+        for floor in self.FLOORS:
+            for size in self._sizes(floor):
+                expected = frozenset.intersection(*scalar[:size])
+                with num_threads(1):
+                    inline = index.query_terms(terms[:size], method=method)
+                assert inline.documents == expected
+                for threads in THREAD_COUNTS[1:]:
+                    with num_threads(threads), executor.min_terms_per_shard(floor):
+                        observed = index.query_terms(terms[:size], method=method)
+                    context = f"{kind} {method} floor={floor} threads={threads} size={size}"
+                    assert observed.documents == expected, context
+                    assert observed.filters_probed == inline.filters_probed, context
+
+    @pytest.mark.parametrize("method", ["full", "sparse"])
+    def test_no_pool_task_below_two_shards(self, built_rambo, query_terms, monkeypatch, method):
+        """The term split is the only fan-out of a query: the R gathers run
+        inline, so a batch too short to split never touches the pool."""
+        import repro.core.rambo as rambo_module
+
+        submitted = []
+
+        def recording_map(fn, items, threads=None):
+            submitted.append(len(list(items)))
+            return parallel_map(fn, items, threads)
+
+        monkeypatch.setattr(rambo_module, "parallel_map", recording_map)
+        floor = executor.get_min_terms_per_shard()
+        with num_threads(4):
+            for size in (1, 8, floor - 1, floor, 2 * floor - 1):
+                built_rambo.query_terms_batch(query_terms[:size], method=method)
+                built_rambo.query_terms(query_terms[:size], method=method)
+            assert submitted == []
+            built_rambo.query_terms(query_terms[: 2 * floor], method=method)
+            assert submitted == []
+            built_rambo.query_terms_batch(query_terms[: 2 * floor], method=method)
+            assert submitted == [2]  # two term shards of `floor` terms each

@@ -13,7 +13,9 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import time
 
@@ -149,6 +151,14 @@ class TestAnswerCache:
         answers, missing = cache.lookup(1, "full", ["a", "b", "c"])
         assert list(answers) == ["b"] and missing == ["a", "c"]
 
+    def test_lookup_can_leave_misses_to_a_later_lookup(self):
+        cache = AnswerCache(capacity=8)
+        cache.put(1, "full", "b", _result(0))
+        answers, missing = cache.lookup(1, "full", ["a", "b"], count_misses=False)
+        assert list(answers) == ["b"] and missing == ["a"]
+        stats = cache.stats()
+        assert stats["hits"] == 1 and stats["misses"] == 0
+
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
             AnswerCache(capacity=-1)
@@ -247,9 +257,15 @@ class TestQueryService:
     def test_concurrent_clients_each_get_their_own_answers(self, service, index):
         expected = {t: r for t, r in zip(TERM_POOL, _reference(index, TERM_POOL))}
         errors = []
+        # Only cache misses reach the ticker, so make the one tick that
+        # matters deterministic: every client's cold first request is
+        # released together into a window wide enough to hold them all.
+        service.coalescer.tick_seconds = 0.05
+        start = threading.Barrier(8)
 
         def client(seed: int) -> None:
             rng = np.random.default_rng(seed)
+            start.wait(timeout=30)
             for _ in range(15):
                 terms = [TERM_POOL[i] for i in rng.integers(0, len(TERM_POOL), size=6)]
                 batch = service.query(terms, timeout=30)
@@ -262,12 +278,18 @@ class TestQueryService:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        stats = service.coalescer.stats()
-        assert stats["requests"] == 8 * 15
+        stats = service.stats()
+        assert stats["service"]["requests"] == 8 * 15
+        # Requests answered wholly from the cache never reached the ticker.
+        assert (
+            stats["coalescer"]["requests"]
+            == 8 * 15 - stats["service"]["cache_only_requests"]
+        )
         # Coalescing must actually deduplicate: fewer terms resolved than submitted.
-        assert stats["terms_resolved"] < stats["terms_submitted"]
+        assert stats["coalescer"]["terms_resolved"] < stats["coalescer"]["terms_submitted"]
 
     def test_unknown_method_raises_in_caller(self, service):
         with pytest.raises(ValueError, match="unknown query method"):
@@ -280,9 +302,104 @@ class TestQueryService:
             svc.query([1])
         svc.close()  # idempotent
 
+    def test_all_cached_query_on_closed_service_raises(self, index):
+        svc = QueryService(index, tick_seconds=0.0)
+        svc.query(TERM_POOL[:4])
+        svc.close()
+        # Every term is cached, yet a closed service answers nothing.
+        with pytest.raises(ServiceClosed):
+            svc.query(TERM_POOL[:4])
+
+    def test_fully_cached_request_never_reaches_the_ticker(self, service, index):
+        service.query(TERM_POOL[:8])
+        before = service.stats()
+        batch = service.query(TERM_POOL[:8])
+        after = service.stats()
+        assert after["coalescer"] == before["coalescer"]  # no tick, no submit
+        assert after["service"]["requests"] == before["service"]["requests"] + 1
+        assert (
+            after["service"]["cache_only_requests"]
+            == before["service"]["cache_only_requests"] + 1
+        )
+        expected = _reference(index, TERM_POOL[:8])
+        assert batch.snapshot_id == 1
+        assert all(_identical(got, want) for got, want in zip(batch, expected))
+
+    def test_cache_counters_advance_once_per_term(self, service, index):
+        def counted():
+            stats = service.cache.stats()
+            return stats["hits"], stats["misses"]
+
+        cold, warm = TERM_POOL[:6], TERM_POOL[6:10]
+        service.query(cold)                      # all miss
+        assert counted() == (0, 6)
+        service.query(cold)                      # all hit
+        assert counted() == (6, 6)
+        mixed = service.query(cold[:3] + warm)   # 3 hits + 4 misses
+        assert counted() == (9, 10)
+        expected = _reference(index, cold[:3] + warm)
+        assert all(_identical(got, want) for got, want in zip(mixed, expected))
+        # Only the misses were handed to the coalescer.
+        assert service.coalescer.stats()["terms_submitted"] == 6 + 4
+
+    @staticmethod
+    def _swap_on_first_submit(service, monkeypatch, new_index):
+        """Make a swap land after the request's probe, before its tick."""
+        submit = service.coalescer.submit
+        submitted = []
+
+        def swapping_submit(terms, method="full", timeout=None):
+            if not submitted:
+                service.swap(new_index)
+            submitted.append(list(terms))
+            return submit(terms, method, timeout=timeout)
+
+        monkeypatch.setattr(service.coalescer, "submit", swapping_submit)
+        return submitted
+
+    def test_swap_between_probe_and_tick_reresolves_the_whole_request(
+        self, service, monkeypatch
+    ):
+        """Cached answers of a snapshot retired mid-request are never
+        stitched to fresh ones: one tick re-answers every term."""
+        service.query(TERM_POOL[:4])  # cached under snapshot 1
+        new_index = _build_index(offset=7)
+        submitted = self._swap_on_first_submit(service, monkeypatch, new_index)
+        batch = service.query(TERM_POOL[:8], timeout=30)
+        assert submitted == [TERM_POOL[4:8], TERM_POOL[:8]]
+        assert batch.snapshot_id == 2
+        expected = _reference(new_index, TERM_POOL[:8])
+        assert all(_identical(got, want) for got, want in zip(batch, expected))
+
+    def test_swap_before_an_all_miss_tick_costs_no_second_tick(
+        self, service, monkeypatch
+    ):
+        """With nothing taken from the cache there is nothing to stitch: the
+        tick's answer stands, under the snapshot the tick names."""
+        new_index = _build_index(offset=7)
+        submitted = self._swap_on_first_submit(service, monkeypatch, new_index)
+        terms = TERM_POOL[:4] + TERM_POOL[:2]  # duplicates map back too
+        batch = service.query(terms, timeout=30)
+        assert submitted == [TERM_POOL[:4]]
+        assert batch.snapshot_id == 2
+        expected = _reference(new_index, terms)
+        assert all(_identical(got, want) for got, want in zip(batch, expected))
+
     def test_stats_shares_describe_index_schema(self, service, index):
         stats = service.stats()
-        assert set(stats) == {"snapshots", "cache", "coalescer", "index", "planner"}
+        assert set(stats) == {
+            "service", "snapshots", "cache", "coalescer", "index", "planner"
+        }
+        # perf/layers.py subtracts these records key by key: flat and numeric.
+        for part in ("service", "cache", "coalescer"):
+            assert all(
+                isinstance(value, (int, float)) and not isinstance(value, bool)
+                for value in stats[part].values()
+            ), part
+        assert {"hits", "misses", "evictions"} <= set(stats["cache"])
+        assert {"requests", "ticks", "terms_submitted", "terms_resolved"} <= set(
+            stats["coalescer"]
+        )
         reference = describe_index(index, None, fill=False)
         assert stats["index"] == reference
         assert stats["snapshots"]["active"]["snapshot_id"] == 1
@@ -330,49 +447,79 @@ class TestRotation:
         claims to come from, which also proves no response mixes the two
         generations.
         """
-        index_a = _build_index()
-        index_b = _build_index(offset=7)  # overlapping but different answers
-        ref_a = {t: r for t, r in zip(TERM_POOL, _reference(index_a, TERM_POOL))}
-        ref_b = {t: r for t, r in zip(TERM_POOL, _reference(index_b, TERM_POOL))}
-        # The two generations must disagree somewhere or the test is vacuous.
-        assert any(not _identical(ref_a[t], ref_b[t]) for t in TERM_POOL)
+        self._race_rotation(warm_terms=[], swaps=1)
 
-        service = QueryService(index_a, tick_seconds=0.0005)
-        requests_per_client, num_clients = 25, 8
+    def test_concurrent_rotation_with_a_warm_cache_never_mixes_snapshots(self):
+        """The same race when requests are part cache hit, part miss.
+
+        Half the pool is cached before the clients start and the snapshot
+        flips back and forth, so requests keep straddling a swap with
+        answers probed on the caller's thread under one generation and
+        misses resolved by a tick under the next.
+        """
+        self._race_rotation(warm_terms=TERM_POOL[::2], swaps=12)
+
+    @staticmethod
+    def _race_rotation(warm_terms, swaps: int) -> None:
+        indexes = [_build_index(), _build_index(offset=7)]  # overlapping, different answers
+        references = [
+            {t: r for t, r in zip(TERM_POOL, _reference(index, TERM_POOL))}
+            for index in indexes
+        ]
+        # The two generations must disagree somewhere or the test is vacuous.
+        assert any(
+            not _identical(references[0][t], references[1][t]) for t in TERM_POOL
+        )
+
+        service = QueryService(indexes[0], tick_seconds=0.0005)
+        if warm_terms:
+            service.query(warm_terms)
+        requests_per_client, num_clients = 40, 8
         failures = []
-        completed = []
+        completed = [0] * num_clients
+        answered_by = set()
 
         def client(seed: int) -> None:
             rng = np.random.default_rng(seed)
-            done = 0
             for _ in range(requests_per_client):
                 terms = [TERM_POOL[i] for i in rng.integers(0, len(TERM_POOL), size=5)]
                 batch = service.query(terms, timeout=30)
-                reference = ref_a if batch.snapshot_id == 1 else ref_b
+                # Snapshot ids count up from 1 and the two indexes alternate.
+                reference = references[(batch.snapshot_id - 1) % 2]
                 if not all(
                     _identical(got, reference[t]) for t, got in zip(terms, batch)
                 ):
                     failures.append((batch.snapshot_id, terms))
-                done += 1
-            completed.append(done)
+                answered_by.add(batch.snapshot_id)
+                completed[seed] += 1
 
         threads = [threading.Thread(target=client, args=(s,)) for s in range(num_clients)]
+        deadline = time.monotonic() + 60
         try:
             for thread in threads:
                 thread.start()
-            time.sleep(0.05)
-            swapped = service.swap(index_b)
-            assert swapped.snapshot_id == 2
+            # Swaps are paced by the clients' progress, not by the clock: a
+            # cached request takes microseconds, and a timed swap would land
+            # after the last of them.
+            for swap in range(1, swaps + 1):
+                due = swap * requests_per_client * num_clients // (swaps + 1)
+                while sum(completed) < due and time.monotonic() < deadline:
+                    time.sleep(0.0002)
+                swapped = service.swap(indexes[swap % 2])
+                assert swapped.snapshot_id == swap + 1
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
         finally:
             service.close()
         assert failures == []
         # Zero dropped queries: every client completed every request.
         assert completed == [requests_per_client] * num_clients
-        # The retired snapshot fully drained once the in-flight work finished.
+        # The race was real: answers came from before and after a swap.
+        assert len(answered_by) > 1
+        # Every retired snapshot fully drained once the in-flight work finished.
         assert service.snapshots.retired_snapshots == []
-        assert service.snapshots.stats()["drained_total"] == 1
+        assert service.snapshots.stats()["drained_total"] == swaps
 
 
 def _dna_index():
@@ -470,6 +617,150 @@ class TestHTTPServer:
         with pytest.raises(ServeClientError) as excinfo:
             client._request("/nope")
         assert excinfo.value.status == 404
+
+
+class _NotReadyIngest:
+    """The least an attached engine needs for ``/healthz`` to answer 503."""
+
+    def healthz(self):
+        return {"role": "replica", "ready": False}
+
+    def stats(self):
+        return {}
+
+    def close(self):
+        pass
+
+
+class TestTransport:
+    """The wire contract of a persistent connection: ``TCP_NODELAY`` on the
+    accepted socket and one send per response — two small segments meet
+    Nagle and the client's delayed ACK, ~40 ms per round trip."""
+
+    @pytest.fixture()
+    def server_port(self):
+        service = QueryService(_build_index(), tick_seconds=0.001)
+        server, _thread = start_http_server(service)
+        yield server.server_address[1], service
+        server.shutdown()
+        server.server_close()
+        service.close()
+
+    def test_accepted_socket_has_nodelay(self, server_port, monkeypatch):
+        from repro.serve.http import ServeRequestHandler
+
+        port, _ = server_port
+        nodelay = []
+        setup = ServeRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(ServeRequestHandler, "setup", recording_setup)
+        assert ServeClient(f"http://127.0.0.1:{port}").healthz()["ok"] is True
+        assert len(nodelay) == 1 and nodelay[0] != 0
+
+    def test_each_json_response_is_exactly_one_send(self, server_port, monkeypatch):
+        port, service = server_port
+        sends = []
+
+        def recording(name):
+            real = getattr(socket.socket, name)
+
+            def wrapper(sock, data, *args):
+                # Handler threads only: the test's own client sends from here.
+                if threading.current_thread() is not threading.main_thread():
+                    sends.append(bytes(data))
+                return real(sock, data, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(socket.socket, "send", recording("send"))
+        monkeypatch.setattr(socket.socket, "sendall", recording("sendall"))
+        service.attach_ingest(_NotReadyIngest())  # /healthz answers 503
+        exchanges = [
+            ("POST", "/query", json.dumps({"terms": TERM_POOL[:8]}), 200),
+            ("POST", "/query", json.dumps({"terms": []}), 400),
+            ("GET", "/nope", None, 404),
+            ("GET", "/healthz", None, 503),
+        ]
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            for number, (verb, path, body, status) in enumerate(exchanges, 1):
+                connection.request(verb, path, body=body)
+                response = connection.getresponse()
+                payload = response.read()
+                assert response.status == status
+                assert len(sends) == number, sends
+                assert sends[-1].startswith(b"HTTP/1.1 %d " % status)
+                assert sends[-1].endswith(b"\r\n\r\n" + payload)
+        finally:
+            connection.close()
+
+    def test_keepalive_round_trips_do_not_stall(self, server_port):
+        """100 round trips on one connection; the two-segment stall put
+        these 50 pairs at 2.2 s or more."""
+        port, _ = server_port
+        query = json.dumps({"terms": TERM_POOL[:8]})
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            started = time.monotonic()
+            for _ in range(50):
+                connection.request("GET", "/healthz")
+                assert json.loads(connection.getresponse().read())["ok"] is True
+                connection.request("POST", "/query", body=query)
+                assert len(json.loads(connection.getresponse().read())["results"]) == 8
+            assert time.monotonic() - started < 1.0
+        finally:
+            connection.close()
+
+    def test_expect_100_continue_is_answered_before_the_body_arrives(self, server_port):
+        """curl announces a large body with ``Expect: 100-continue`` and holds
+        it back (for 1 s) until the interim line comes, so that line must
+        not wait in the response buffer."""
+        port, _ = server_port
+        body = json.dumps({"terms": TERM_POOL[:8]}).encode()
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            assert sock.recv(1024) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            response = http.client.HTTPResponse(sock, method="POST")
+            response.begin()
+            assert response.status == 200
+            assert len(json.loads(response.read())["results"]) == 8
+
+    @pytest.mark.parametrize("path", ["/query", "/compact", "/promote"])
+    @pytest.mark.parametrize("declared", ["1e3", "abc", "-5", "+5", "1_0", "2 ", "\xb2"])
+    def test_unusable_content_length_is_a_400_and_a_closed_connection(
+        self, server_port, path, declared
+    ):
+        port, _ = server_port
+
+        def exchange(sock, request: bytes):
+            sock.sendall(request)
+            response = http.client.HTTPResponse(sock, method="POST")
+            response.begin()
+            return response, response.read()
+
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            # A healthy exchange first: the bad header arrives mid-keep-alive.
+            response, _ = exchange(sock, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert response.status == 200
+            response, body = exchange(
+                sock,
+                b"POST %s HTTP/1.1\r\nHost: t\r\nContent-Length: %s\r\n\r\n{}"
+                % (path.encode(), declared.encode("latin-1")),
+            )
+            assert response.status == 400
+            assert response.getheader("Connection") == "close"
+            assert "Content-Length" in json.loads(body)["error"]
+            assert sock.recv(1) == b""  # the server hung up; nothing is left to mis-parse
 
 
 class TestClientFaultPaths:
