@@ -13,11 +13,17 @@ experiment harness can account memory precisely.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Iterator, List, Sequence, Union
 
 import numpy as np
 
 _WORD_BITS = 64
+
+# Bit ``p`` of a payload lives in byte ``p >> 3`` of its words' little-endian
+# byte string; on a big-endian host the same byte sits at the mirrored offset
+# inside its 8-byte word, which XOR-ing the byte index with 7 addresses.
+_BYTE_FLIP = 7 if sys.byteorder == "big" else 0
 
 # Byte-wise popcount lookup for numpy builds without ``np.bitwise_count``.
 _POPCOUNT_TABLE = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
@@ -49,7 +55,7 @@ def probe_words_batch(words, positions: np.ndarray) -> np.ndarray:
         with identical shapes: the planes are treated as the elementwise OR
         of their words.  This is how the streaming-ingest overlay probes
         ``base | delta`` without ever materialising the combined plane — the
-        OR happens on the gathered words of each probe, one extra gather+OR
+        OR happens on the gathered bytes of each probe, one extra gather+OR
         per plane, and is exactly equivalent to probing the OR-merged index
         (Bloom insertion is a pure OR-scatter).
     positions:
@@ -63,6 +69,10 @@ def probe_words_batch(words, positions: np.ndarray) -> np.ndarray:
     Bloom-filter membership verdict of key ``q`` against filter ``r``.  The
     whole test is a handful of vectorised gathers, the "fast bitwise
     operations" the paper's query-time argument rests on.
+
+    A probe needs one bit, so the gathers read the payload through a
+    ``uint8`` view (no copy, memory-mapped planes included): every
+    ``(rows, n)`` temporary is a byte per verdict instead of a word.
     """
     if isinstance(words, (tuple, list)):
         planes = [np.asarray(plane) for plane in words]
@@ -81,6 +91,9 @@ def probe_words_batch(words, positions: np.ndarray) -> np.ndarray:
                 f"all word planes must share one shape, got {plane.shape} "
                 f"vs {planes[0].shape}"
             )
+        if plane.dtype != np.uint64:
+            # The byte view below addresses bits of native 64-bit words.
+            raise ValueError(f"words must be uint64, got dtype {plane.dtype}")
     if positions.shape[1] == 0:
         # A query with no probe positions is vacuously a member everywhere.
         # (A zero-width payload with real probe positions is NOT vacuous —
@@ -91,17 +104,24 @@ def probe_words_batch(words, positions: np.ndarray) -> np.ndarray:
         # Negative fancy indices would silently wrap to the end of the
         # payload and return a bogus verdict.
         raise IndexError("probe positions must be non-negative")
-    word_index = positions // _WORD_BITS                       # (n, eta)
-    bit = (positions % _WORD_BITS).astype(np.uint64)           # (n, eta)
-    # Reduce over the probe axis incrementally so the peak intermediate is
-    # one (rows, n) gather per probe rather than a (rows, n, eta) cube.
-    hits = np.ones((planes[0].shape[0], positions.shape[0]), dtype=bool)
+    byte_planes = [plane.view(np.uint8) for plane in planes]
+    byte_index = (positions >> 3) ^ _BYTE_FLIP                 # (n, eta)
+    shift = (positions & 7).astype(np.uint8)                   # (n, eta)
+    # Reduce over the probe axis incrementally and in place, so the only
+    # temporaries are one (rows, n) byte gather per probe and plane.  Bit 0
+    # of ``hits`` is the running AND of the probed bits.
+    hits = None
     for j in range(positions.shape[1]):
-        gathered = planes[0][:, word_index[:, j]]              # (rows, n)
-        for extra in planes[1:]:
-            gathered = gathered | extra[:, word_index[:, j]]
-        hits &= ((gathered >> bit[None, :, j]) & np.uint64(1)).astype(bool)
-    return hits.T                                              # (n, rows)
+        gathered = byte_planes[0][:, byte_index[:, j]]         # (rows, n)
+        for extra in byte_planes[1:]:
+            gathered |= extra[:, byte_index[:, j]]
+        gathered >>= shift[None, :, j]
+        if hits is None:
+            hits = gathered
+        else:
+            hits &= gathered
+    hits &= 1
+    return hits.view(bool).T                                   # (n, rows)
 
 
 class BitArray:

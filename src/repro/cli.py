@@ -736,8 +736,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--threads", type=int, default=None, metavar="N",
-        help="worker threads for batch query evaluation (default: REPRO_THREADS, "
-             "else all cores); results are bit-identical for every N",
+        help="executor thread count (default: REPRO_THREADS, else all cores); "
+             "kept for compatibility — a RAMBO batch query runs on the calling "
+             "thread, and results are bit-identical for every N",
     )
     query.set_defaults(func=_cmd_query)
 
@@ -770,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--tick-ms", type=float, default=2.0, metavar="MS",
         help="request-coalescing window in milliseconds (default 2.0; 0 = "
-             "opportunistic batching); co-tune with REPRO_MIN_TERMS_PER_SHARD",
+             "opportunistic batching)",
     )
     serve.add_argument(
         "--wal", metavar="DIR", default=None,
@@ -818,8 +819,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--threads", type=int, default=None, metavar="N",
-        help="worker threads for batch evaluation inside the server "
-             "(default: REPRO_THREADS, else all cores)",
+        help="executor thread count inside the server (default: REPRO_THREADS, "
+             "else all cores); kept for compatibility — a RAMBO batch query "
+             "runs on its request's tick thread",
     )
     serve.set_defaults(func=_cmd_serve)
 

@@ -83,8 +83,9 @@ class QueryResult:
     never pay for building per-result ``frozenset`` objects.
 
     Construct either eagerly from names (``QueryResult(documents=...,
-    filters_probed=...)``, the historic form every baseline uses) or from a
-    bitmap via :meth:`from_mask` / :meth:`from_ids`.
+    filters_probed=...)``, the historic form every baseline uses), from a
+    bitmap via :meth:`from_mask` / :meth:`from_ids`, or a whole batch at
+    once from match pairs via :meth:`batch_from_pairs`.
 
     ``filters_probed`` counts Bloom-filter membership tests (the dominant
     query cost every structure shares), so benchmarks can report an
@@ -147,6 +148,41 @@ class QueryResult:
             name_table=name_table,
         )
 
+    @classmethod
+    def batch_from_pairs(
+        cls,
+        pair_terms: np.ndarray,
+        pair_docs: np.ndarray,
+        probes: np.ndarray,
+        name_table: Sequence[str],
+    ) -> List["QueryResult"]:
+        """One result per term from flat ``(term, doc id)`` match pairs.
+
+        The batch engines' hand-off: the pairs list every match of a term
+        batch once, in any order; ``probes[t]`` is term ``t``'s
+        ``filters_probed``.  One sort of ``term * num_docs + doc`` keys
+        orders them by term and by doc id within a term, one
+        ``searchsorted`` finds each term's span, and every result is a slice
+        of that one read-only id array — cost follows the matches, not
+        ``terms x documents``.
+        """
+        num_docs = len(name_table)
+        keys = np.sort(pair_terms * num_docs + pair_docs)
+        bounds = np.searchsorted(keys, np.arange(len(probes) + 1) * num_docs).tolist()
+        keys %= max(num_docs, 1)
+        keys.setflags(write=False)
+        results = []
+        for term, filters_probed in enumerate(probes.tolist()):
+            # Field by field, not __init__: none of its validation applies,
+            # and this line is the per-term cost of a large batch.
+            result = cls.__new__(cls)
+            result._filters_probed = filters_probed
+            result._documents = None
+            result._ids = keys[bounds[term] : bounds[term + 1]]
+            result._name_table = name_table
+            results.append(result)
+        return results
+
     @property
     def doc_ids(self) -> np.ndarray:
         """Matching doc ids (positions in :attr:`name_table`), sorted."""
@@ -166,7 +202,11 @@ class QueryResult:
         """Matching document names (materialised lazily from the id bitmap)."""
         if self._documents is None:
             assert self._ids is not None and self._name_table is not None
-            self._documents = frozenset(self._name_table[i] for i in self._ids)
+            table = self._name_table
+            if isinstance(table, np.ndarray):  # object array: one C-level gather
+                self._documents = frozenset(table[self._ids].tolist())
+            else:
+                self._documents = frozenset(table[i] for i in self._ids)
         return self._documents
 
     def __contains__(self, name: str) -> bool:

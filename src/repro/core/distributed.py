@@ -178,27 +178,22 @@ class DistributedRambo(MembershipIndex):
             ]
         return self._id_maps
 
-    def _chunk_masks(self, chunk: List[Term], method: str):
-        """Global ``(len(chunk), num_docs)`` hit bitmaps + per-term probes.
+    def _chunk_pairs(self, chunk: List[Term], method: str):
+        """Global ``(pair_terms, pair_docs, probes)`` of one term chunk.
 
-        Every shard answers the chunk with its own vectorised engine; the
-        per-term shard bitmaps are then scattered into one global bitmap per
-        term (documents live in exactly one shard, so the scatter is the
-        union).  Shared by the batch and conjunctive query paths so neither
-        re-derives masks from id lists.
+        Every shard answers the chunk with its own survivor-list kernel
+        (:meth:`Rambo._chunk_pairs`); its matching ``(term, doc)`` pairs are
+        renumbered to global doc ids through the shard's id map and the
+        shard lists concatenated — documents live in exactly one shard, so
+        the concatenation is the union and no pair repeats.  Shared by the
+        batch and conjunctive query paths.
 
         Non-empty shards are fanned out across the executor thread pool
-        (``REPRO_THREADS`` / ``set_num_threads``) — each node answers with
-        its own vectorised engine over its own (possibly memory-mapped) bit
-        planes, exactly the paper's many-nodes serving layout collapsed onto
-        one machine's cores.  Shard answers are combined in node order into
-        disjoint column sets, so the result is bit-identical to the serial
-        loop; per-shard engines run inline inside the workers (nested
-        parallelism degenerates safely, see :mod:`repro.core.executor`).
+        (``REPRO_THREADS`` / ``set_num_threads``) — each node answers over
+        its own (possibly memory-mapped) bit planes, the paper's many-nodes
+        serving layout collapsed onto one machine's cores — and combined in
+        node order, so the result is bit-identical to the serial loop.
         """
-        num_docs = len(self._doc_names)
-        masks = np.zeros((len(chunk), num_docs), dtype=bool)
-        probes = np.zeros(len(chunk), dtype=np.int64)
         # Every shard shares BFU geometry and seed, so the chunk is hashed
         # once and the position matrix reused across the cluster.
         positions = self._shards[0]._probe_matrix(chunk)  # noqa: SLF001
@@ -208,41 +203,45 @@ class DistributedRambo(MembershipIndex):
             if id_map.size
         ]
 
-        def shard_masks(entry):
-            shard, _ = entry
+        def shard_pairs(entry):
+            shard, id_map = entry
             # Safe under the fan-out: each shard is touched by exactly one
             # worker, so its lazily-built caches see no concurrent writers.
             shard._refresh_member_arrays()  # noqa: SLF001
-            return shard._batch_chunk_masks(chunk, method, positions=positions)  # noqa: SLF001
+            return [
+                (terms, id_map[docs], counts)
+                for terms, docs, counts in shard._chunk_pairs(positions, method)  # noqa: SLF001
+            ]
 
-        for (shard, id_map), (alive, shard_probes) in zip(
-            populated, parallel_map(shard_masks, populated)
-        ):
-            probes += shard_probes
-            # Plain scatter, not |=: shard doc-id maps are disjoint and
-            # masks starts zeroed, so each column is written exactly once.
-            masks[:, id_map] = alive
-        return masks, probes
+        pair_terms, pair_docs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        probes = np.zeros(len(chunk), dtype=np.int64)
+        for ranges in parallel_map(shard_pairs, populated):
+            first = 0  # a shard's term ranges tile the chunk in order
+            for terms, docs, counts in ranges:
+                pair_terms.append(first + terms)
+                pair_docs.append(docs)
+                probes[first : first + len(counts)] += counts
+                first += len(counts)
+        return np.concatenate(pair_terms), np.concatenate(pair_docs), probes
 
     def query_terms_batch(self, terms: Sequence[Term], method: str = "full") -> List[QueryResult]:
-        """Batched union across shards, combined on global doc-id bitmaps."""
+        """Batched union across shards, combined as global doc-id pair lists."""
         check_query_method(method)
         terms = list(terms)
         if not terms:
             return []
+        names = np.array(self._doc_names, dtype=object)
         results: List[QueryResult] = []
-        # Chunked like the shard engines so the global mask matrix stays
-        # bounded at O(chunk x num_docs).
+        # Chunked like the shard engines so the per-chunk intermediates stay
+        # bounded.
         for chunk in iter_term_chunks(terms):
-            masks, probes = self._chunk_masks(list(chunk), method)
             results.extend(
-                QueryResult.from_mask(masks[t], self._doc_names, filters_probed=int(probes[t]))
-                for t in range(len(chunk))
+                QueryResult.batch_from_pairs(*self._chunk_pairs(list(chunk), method), names)
             )
         return results
 
     def query_terms(self, terms: Sequence[Term], method: str = "full") -> QueryResult:
-        """Conjunctive query: intersect the per-term global bitmaps.
+        """Conjunctive query: a document must match every term.
 
         Ramped term slices AND into one running bitmap so the early exit
         ("the first returned FALSE is conclusive") fires after a few dozen
@@ -253,12 +252,15 @@ class DistributedRambo(MembershipIndex):
         terms = list(terms)
         if not terms:
             return QueryResult(documents=frozenset(self._doc_names), filters_probed=0)
-        conjunction = np.ones(len(self._doc_names), dtype=bool)
+        num_docs = len(self._doc_names)
+        conjunction = np.ones(num_docs, dtype=bool)
         probes = 0
         for chunk in iter_conjunction_slices(terms):
-            masks, chunk_probes = self._chunk_masks(list(chunk), method)
+            _, pair_docs, chunk_probes = self._chunk_pairs(list(chunk), method)
             probes += int(chunk_probes.sum())
-            conjunction &= masks.all(axis=0)
+            # Each (term, doc) match is listed once, so a document matching
+            # the whole slice appears exactly len(chunk) times.
+            conjunction &= np.bincount(pair_docs, minlength=num_docs) == len(chunk)
             if not conjunction.any():
                 break
         return QueryResult.from_mask(conjunction, self._doc_names, filters_probed=probes)

@@ -29,8 +29,8 @@ default on single-core containers.
 
 Every parallel consumer in the repository is bit-identical to its inline
 form by construction — work is sharded along axes whose results combine
-with order-independent operations (per-term result rows, per-shard
-scatters into disjoint columns, Bloom-filter ORs) — and the property
+with order-independent operations (per-term result rows, per-shard pair
+lists over disjoint documents, Bloom-filter ORs) — and the property
 suite (``tests/test_parallel_exec.py``) asserts it.
 """
 
@@ -51,14 +51,11 @@ THREADS_ENV_VAR = "REPRO_THREADS"
 #: Environment variable overriding the default term-shard minimum.
 MIN_TERMS_ENV_VAR = "REPRO_MIN_TERMS_PER_SHARD"
 
-#: Default smallest term-shard a batched query splits off for a worker
-#: thread.  Below ~64 terms the per-task Python overhead (a future, a
-#: closure call, a result hand-off) rivals the numpy work inside the shard,
-#: so shorter batches simply run inline.  Tunable because the right floor
-#: co-varies with the serving layer's coalescer tick size: a service that
-#: coalesces many small client requests into ~tick-sized batches wants the
-#: shard minimum at or below its typical tick batch, while an offline bulk
-#: query wants it high enough that threads never fight over tiny shards.
+#: Default smallest term-shard COBS's batched query (the one term-sharded
+#: engine left; RAMBO's runs inline) splits off for a worker thread.  Below
+#: ~64 terms the per-task Python overhead (a future, a closure call, a
+#: result hand-off) rivals the numpy work inside the shard, so shorter
+#: batches simply run inline.
 DEFAULT_MIN_TERMS_PER_SHARD = 64
 
 #: The machine's core count, read once: :func:`get_num_threads` runs on every
@@ -133,8 +130,8 @@ def num_threads(count: int) -> Iterator[None]:
 def get_min_terms_per_shard() -> int:
     """Effective term-shard floor: override, else env var, else the default.
 
-    This is the ``min_per_shard`` every term-axis :func:`shard_ranges` call
-    in the batched query engines (RAMBO and COBS) uses.  Raises
+    This is the ``min_per_shard`` of the term-axis :func:`shard_ranges` call
+    in COBS's batched query engine.  Raises
     :class:`ValueError` for a malformed or non-positive
     ``REPRO_MIN_TERMS_PER_SHARD`` value, mirroring :func:`get_num_threads`.
     """
@@ -152,7 +149,7 @@ def set_min_terms_per_shard(count: Optional[int]) -> None:
     Takes precedence over ``REPRO_MIN_TERMS_PER_SHARD`` and the default of
     :data:`DEFAULT_MIN_TERMS_PER_SHARD` (64).  Sharding only changes *how*
     a batch is split across threads, never its result, so this is purely a
-    performance knob — co-tune it with the serving coalescer's tick size.
+    performance knob.
     """
     global _min_terms_override
     if count is not None:

@@ -44,13 +44,7 @@ from repro.core.base import (
     iter_conjunction_slices,
     iter_term_chunks,
 )
-from repro.core.executor import (
-    get_min_terms_per_shard,
-    get_num_threads,
-    in_worker,
-    parallel_map,
-    shard_ranges,
-)
+from repro.core.executor import get_num_threads, in_worker, parallel_map, shard_ranges
 from repro.hashing.murmur3 import combine_seeds, double_hashes, double_hashes_batch
 from repro.hashing.universal import PartitionHashFamily
 from repro.kmers.extraction import DEFAULT_K, KmerDocument
@@ -59,6 +53,12 @@ from repro.kmers.extraction import DEFAULT_K, KmerDocument
 #: Each shard allocates a partial index, so tiny shards would pay the full
 #: B x R x bfu_bits allocation for a handful of scatters.
 MIN_DOCS_PER_SHARD = 4
+
+#: Most candidate ``(term, document)`` pairs the batch query kernel expands
+#: at once (two ``int64`` each, plus temporaries of that length).  A chunk
+#: that would expand to more is halved into term ranges first, so a
+#: saturated index costs time, never ``n_terms x K x 16`` bytes.
+QUERY_PAIR_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ class Rambo(MembershipIndex):
         self._doc_ids: Dict[str, int] = {}
         # _assignments[r][doc_id] = partition index of that doc in repetition r.
         self._assignments: List[List[int]] = [[] for _ in range(config.repetitions)]
-        # _members[r][b] = doc ids assigned to BFU (r, b); rebuilt as numpy arrays lazily.
+        # _members[r][b] = doc ids assigned to BFU (r, b).
         self._members: List[List[List[int]]] = [
             [[] for _ in range(config.num_partitions)] for _ in range(config.repetitions)
         ]
@@ -242,7 +242,6 @@ class Rambo(MembershipIndex):
     def _invalidate_caches(self) -> None:
         """Reset every lazily-built query-acceleration structure."""
         self._member_arrays_dirty = True
-        self._member_arrays: List[List[np.ndarray]] = []
         # Per-repetition (B, words) view of the BFU bits; because every BFU
         # shares size, hash count and seed, one term's probe positions are the
         # same in every BFU, so membership across all B filters is a handful
@@ -250,6 +249,11 @@ class Rambo(MembershipIndex):
         self._bit_cache: List[np.ndarray] = []
         # Per-repetition (num_documents,) doc-id -> partition arrays.
         self._assignment_arrays: List[np.ndarray] = []
+        # The batch engine's view: repetition 0's partition -> documents map
+        # in CSR form (partition b holds the doc ids
+        # _member_order[_member_offsets[b]:_member_offsets[b + 1]]) and the
+        # doc id -> name table as an object array.
+        self._member_order = self._member_offsets = self._name_array = None
 
     @classmethod
     def _from_parts(
@@ -498,24 +502,28 @@ class Rambo(MembershipIndex):
     def _refresh_member_arrays(self) -> None:
         if not self._member_arrays_dirty:
             return
-        self._member_arrays = [
-            [np.asarray(ids, dtype=np.int64) for ids in row] for row in self._members
+        self._bit_cache = self._stacked_planes()
+        self._assignment_arrays = [
+            np.asarray(row, dtype=np.int64) % self.num_partitions
+            for row in self._assignments
         ]
+        first = self._assignment_arrays[0]
+        self._member_order = np.argsort(first, kind="stable")
+        self._member_offsets = np.concatenate(
+            ([0], np.cumsum(np.bincount(first, minlength=self.num_partitions)))
+        )
+        self._name_array = np.array(self._doc_names, dtype=object)
+        self._member_arrays_dirty = False
+
+    def _stacked_planes(self) -> list:
+        """Per-repetition ``(B, words)`` payload :func:`probe_words_batch` reads."""
         if self._mapped_bits is not None:
             # Mapped indexes already hold each repetition as one contiguous
             # (B, words) plane on disk; install the views directly so the
             # batch engine gathers zero-copy from the page cache instead of
             # stacking an in-memory copy of the whole payload.
-            self._bit_cache = list(self._mapped_bits)
-        else:
-            self._bit_cache = [
-                np.stack([bfu.bits.words for bfu in row]) for row in self._bfus
-            ]
-        self._assignment_arrays = [
-            np.asarray(row, dtype=np.int64) % self.num_partitions
-            for row in self._assignments
-        ]
-        self._member_arrays_dirty = False
+            return list(self._mapped_bits)
+        return [np.stack([bfu.bits.words for bfu in row]) for row in self._bfus]
 
     def _probe_positions(self, term: Term) -> List[int]:
         """Probe positions of *term*, valid for every BFU (shared size/seed)."""
@@ -555,13 +563,9 @@ class Rambo(MembershipIndex):
 
     def _candidate_mask(self, hit_partitions: Iterable[int], repetition: int) -> np.ndarray:
         """Bitmap (bool array over doc ids) of the union of the hit BFUs' documents."""
-        mask = np.zeros(len(self._doc_names), dtype=bool)
-        arrays = self._member_arrays[repetition]
-        for b in hit_partitions:
-            ids = arrays[b]
-            if ids.size:
-                mask[ids] = True
-        return mask
+        hit = np.zeros(self.num_partitions, dtype=bool)
+        hit[hit_partitions] = True
+        return hit[self._assignment_arrays[repetition]]
 
     def query_term(self, term: Term, method: str = "full") -> QueryResult:
         """Documents that appear to contain *term* (Algorithm 2).
@@ -624,18 +628,15 @@ class Rambo(MembershipIndex):
         """Independent results for a whole batch of terms in one array pass.
 
         Equivalent to ``[self.query_term(t, method=method) for t in terms]``
-        (identical documents per term) but evaluated bitmap-natively: one
-        vectorised hash pass over all terms, then per repetition a single
-        gather tests every term against every BFU and a single fancy-index
-        maps partition hits to doc-id bitmaps.  Per-term early termination
-        is preserved as a bool "active" lane mask instead of a branch.
-
-        With more than one executor thread (``REPRO_THREADS`` /
-        :func:`repro.core.executor.set_num_threads`) each chunk is sharded
-        along the term axis across the thread pool — terms are mutually
-        independent, so per-shard masks and probe counts re-assemble by
-        concatenation and the results are bit-identical to the inline path,
-        probe accounting included.
+        (identical documents and probe counts per term) but evaluated as
+        flat arrays: one vectorised hash pass, one byte gather per
+        repetition testing every term against every BFU, and a list of
+        candidate ``(term, document)`` pairs the repetitions filter down to
+        the answer (:meth:`_chunk_pairs`) — cost follows a term's
+        candidates, not ``K``.  Always runs on the calling thread: sharding
+        the kernel's few dozen short numpy calls over the pool bought at
+        most 1.17x at 2 threads and lost at 4 (docs/ARCHITECTURE.md,
+        "Parallel execution").
         """
         check_query_method(method)
         terms = list(terms)
@@ -644,77 +645,74 @@ class Rambo(MembershipIndex):
         if not self._doc_names:
             return [QueryResult(documents=frozenset(), filters_probed=0) for _ in terms]
         self._refresh_member_arrays()
-        # Chunk huge batches so the (n_terms, num_docs) intermediates stay
-        # bounded; each chunk is independent, so results just concatenate.
+        # Chunk huge batches so the (n_terms, B) intermediates stay bounded;
+        # each chunk is independent, so results just concatenate.
         results: List[QueryResult] = []
         for chunk in iter_term_chunks(terms):
-            alive, probes = self._chunk_masks_sharded(list(chunk), method)
-            results.extend(
-                QueryResult.from_mask(alive[t], self._doc_names, filters_probed=int(probes[t]))
-                for t in range(len(chunk))
-            )
+            for pairs in self._chunk_pairs(self._probe_matrix(chunk), method):
+                results.extend(QueryResult.batch_from_pairs(*pairs, self._name_array))
         return results
 
-    def _chunk_masks_sharded(self, terms: List[Term], method: str):
-        """One chunk's masks/probes, term-sharded across the executor pool.
+    def _chunk_pairs(self, positions: np.ndarray, method: str):
+        """The survivor-list kernel: matching ``(term, doc)`` pairs of a chunk.
 
-        The parallel twin of :meth:`_batch_chunk_masks`: the chunk is split
-        into contiguous term ranges, every worker runs the unchanged
-        sequential kernel on its range (each numpy gather/AND inside releases
-        the GIL), and the per-shard ``(alive, probes)`` pairs — one row per
-        term in both — concatenate back in order.  Falls through to the
-        plain kernel for a single effective thread or a short chunk.
+        Each repetition-0 hit expands, through the CSR member list, to one
+        ``(term, document of the hit BFU)`` pair; repetition ``r >= 1`` keeps
+        a pair iff the term hits the document's BFU there, and what survives
+        all ``R`` filters is the answer (docs/ARCHITECTURE.md, "The batch
+        query dataflow").  ``method`` changes only the probe accounting,
+        which mirrors the scalar reference: a term stops counting once it
+        has no pair left (the early exit); ``full`` counts all ``B`` BFUs
+        per live repetition, ``sparse`` the distinct BFUs its surviving
+        pairs sit in.
+
+        Yields ``(pair_terms, pair_docs, probes)`` for consecutive term
+        ranges tiling the chunk — one range, unless the expansion would
+        exceed :data:`QUERY_PAIR_BUDGET` and the chunk is halved.
+        ``probes`` has one entry per term of the range and ``pair_terms``
+        counts from its first term.  Takes the probe matrix so the
+        distributed layer hashes a chunk once for all shards; the caller
+        runs :meth:`_refresh_member_arrays`.
         """
-        ranges = shard_ranges(len(terms), get_num_threads(), get_min_terms_per_shard())
-        if len(ranges) <= 1 or in_worker():
-            return self._batch_chunk_masks(terms, method)
-        shards = parallel_map(
-            lambda span: self._batch_chunk_masks(terms[span[0] : span[1]], method),
-            ranges,
+        num_terms, num_partitions = len(positions), self.num_partitions
+        offsets = self._member_offsets
+        # Repetition 0's hits as flat (term, partition) lists, term-major.
+        hit_terms, hit_partitions = np.divmod(
+            np.flatnonzero(self._hit_matrix(0, positions)), num_partitions
         )
-        alive = np.concatenate([shard[0] for shard in shards], axis=0)
-        probes = np.concatenate([shard[1] for shard in shards])
-        return alive, probes
-
-    def _batch_chunk_masks(
-        self, terms: List[Term], method: str, positions: Optional[np.ndarray] = None
-    ):
-        """Per-term doc bitmaps + probe counts for one (chunk-sized) batch.
-
-        The mask-level core of :meth:`query_terms_batch`; exposed separately
-        so the distributed layer can combine shard bitmaps without a
-        round-trip through per-term ``QueryResult`` objects — and can hash
-        the chunk once, passing the shared *positions* matrix to every shard
-        (all shards share BFU geometry and seed).  The caller is responsible
-        for validation and :meth:`_refresh_member_arrays`.
-        """
-        num_terms = len(terms)
-        num_docs = len(self._doc_names)
-        if positions is None:
-            positions = self._probe_matrix(terms)
-        alive = np.ones((num_terms, num_docs), dtype=bool)
-        probes = np.zeros(num_terms, dtype=np.int64)
-        active = np.ones(num_terms, dtype=bool)
-        for r in range(self.repetitions):
-            if not active.any():
+        # A hit expands to one pair per document of its BFU, so the pair
+        # count is known before anything is expanded.
+        hit_sizes = np.diff(offsets)[hit_partitions]
+        hit_ends = np.cumsum(hit_sizes)
+        if num_terms > 1 and hit_ends.size and hit_ends[-1] > QUERY_PAIR_BUDGET:
+            yield from self._chunk_pairs(positions[: num_terms // 2], method)
+            yield from self._chunk_pairs(positions[num_terms // 2 :], method)
+            return
+        pair_terms = np.repeat(hit_terms, hit_sizes)
+        # Pair i belongs to the hit whose run of hit_sizes pairs contains i:
+        # member (i - the run's start) of that hit's BFU.
+        members = np.repeat(offsets[hit_partitions] - hit_ends + hit_sizes, hit_sizes)
+        members += np.arange(members.size)
+        pair_docs = self._member_order.take(members)
+        probes = np.full(num_terms, num_partitions, dtype=np.int64)
+        for r in range(1, self.repetitions):
+            if not pair_terms.size:
                 break
-            # (n_terms, B) membership verdicts for repetition r.
-            hits = self._hit_matrix(r, positions)
-            assignment = self._assignment_arrays[r]          # (num_docs,)
-            if method == "full" or r == 0:
-                # First sparse round matches the scalar path: every partition
-                # is a candidate, so the probe accounting is B per term.
-                probes[active] += self.num_partitions
+            # Each pair's (BFU, term) cell in the flat (B, n) verdict.
+            cells = self._assignment_arrays[r].take(pair_docs)
+            cells *= num_terms
+            cells += pair_terms
+            if method == "full":
+                live = np.zeros(num_terms, dtype=bool)
+                live[pair_terms] = True
+                probes[live] += num_partitions
             else:
-                # RAMBO+: a term only probes BFUs that still hold survivors.
-                candidates = np.zeros((num_terms, self.num_partitions), dtype=bool)
-                rows, cols = np.nonzero(alive)
-                candidates[rows, assignment[cols]] = True
-                probes += candidates.sum(axis=1)
-                hits &= candidates
-            alive &= hits[:, assignment]
-            active &= alive.any(axis=1)
-        return alive, probes
+                candidates = np.zeros((num_partitions, num_terms), dtype=bool)
+                candidates.ravel()[cells] = True
+                probes += np.count_nonzero(candidates, axis=0)
+            kept = np.flatnonzero(self._hit_matrix(r, positions).T.ravel().take(cells))
+            pair_terms, pair_docs = pair_terms.take(kept), pair_docs.take(kept)
+        yield pair_terms, pair_docs, probes
 
     def query_terms(self, terms: Sequence[Term], method: str = "full") -> QueryResult:
         """Conjunctive query over several terms, evaluated as one batch.
@@ -802,42 +800,42 @@ class Rambo(MembershipIndex):
         self._refresh_member_arrays()
         positions = self._probe_matrix(terms)
         hits = self._hit_matrix(0, positions)  # (n_terms, B) bool
-        partition_docs = np.array(
-            [ids.size for ids in self._member_arrays[0]], dtype=np.float64
-        )
+        partition_docs = np.diff(self._member_offsets).astype(np.float64)
         estimates = hits.astype(np.float64) @ partition_docs / len(self._doc_names)
         return np.clip(estimates, 0.0, 1.0)
 
     def cost_hints(self) -> dict:
         """Priors for the three evaluation strategies over this artifact.
 
-        Scaled by the repetition count (every strategy's work is linear in
-        ``R``); the sparse prior trades a slightly higher selectivity slope
-        (survivor bookkeeping) for a lower flat per-term cost, and the
-        scalar reference is priced an order of magnitude above the batch
-        kernels — matching the 7-14x speedups measured in the ablation.
+        Scaled by the repetition count (all work is linear in ``R``).  The
+        batch priors are a ``CostModel.fit_from_grid`` on the benchmark
+        corpus (K = 1000, B = 89, R = 3): both run the same gathers and pair
+        filters, so ``sparse`` is ``full`` plus its distinct-BFU count —
+        slightly dearer everywhere — and the selectivity slope dominates
+        because the work follows a term's candidate pairs.  The scalar
+        reference measured 11-20x slower than the batch kernel there.
         """
         r = max(self.repetitions, 1)
         hints = super().cost_hints()
         hints.update(
             {
                 "batch-full": {
-                    "setup": 5e-5,
-                    "per_term": 2e-6 * r,
-                    "per_term_selectivity": 1e-6 * r,
+                    "setup": 1e-4,
+                    "per_term": 0.6e-6 * r,
+                    "per_term_selectivity": 7.5e-6 * r,
                 },
                 "batch-sparse": {
-                    "setup": 5e-5,
-                    "per_term": 1.5e-6 * r,
-                    "per_term_selectivity": 2.5e-6 * r,
+                    "setup": 1e-4,
+                    "per_term": 0.7e-6 * r,
+                    "per_term_selectivity": 8.5e-6 * r,
+                },
+                "scalar-full": {
+                    "setup": 1e-5,
+                    "per_term": 5e-5 * r,
+                    "per_term_selectivity": 1e-5 * r,
                 },
             }
         )
-        hints["scalar-full"] = {
-            "setup": 1e-5,
-            "per_term": 5e-5 * r,
-            "per_term_selectivity": 1e-5 * r,
-        }
         return hints
 
     # -- fold-over ----------------------------------------------------------------------

@@ -292,6 +292,23 @@ def double_hashes_batch(
             h1, h2 = _murmur3_u64_batch(keys, seed)
             return _derive_positions(h1, h2, count, modulus)
         keys = [int(key) for key in keys]
+    elif (
+        isinstance(keys, (list, tuple))
+        and not exact_fallback
+        and set(map(type, keys)) == {int}
+        and min(keys) >= 0
+    ):
+        # The query path's shape — a list of plain non-negative ints — packs
+        # in one C pass.  Everything else (bools, numpy scalars, str/bytes,
+        # other types, negatives) and ints numpy refuses (>= 2**64) take the
+        # per-key pass below, so the error contract stays in one place.
+        try:
+            packed = np.asarray(keys, dtype=np.uint64)
+        except OverflowError:
+            pass
+        else:
+            h1, h2 = _murmur3_u64_batch(packed, seed)
+            return _derive_positions(h1, h2, count, modulus)
     keys = [normalise_batch_key(key) for key in keys]
     if not keys:
         return np.zeros((0, count), dtype=np.int64)

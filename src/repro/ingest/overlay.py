@@ -12,7 +12,7 @@ from-scratch build is to OR at the **bit-plane level**: a term hits BFU
 
 This module gets that without materialising the OR: the batch probe kernel
 (:func:`repro.bloom.bitarray.probe_words_batch`) accepts a *pair* of planes
-per repetition and ORs the gathered words per probe — one extra gather+OR
+per repetition and ORs the gathered bytes per probe — one extra gather+OR
 per term per repetition against the (small, hot) delta plane, while the
 base plane keeps gathering zero-copy from the mmap page cache.  Because
 Bloom insertion is a pure OR-scatter and partition assignment depends only
@@ -108,21 +108,11 @@ class DeltaOverlayIndex(Rambo):
 
     # -- the one behavioural override: plane pairs in the bit cache --------------------
 
-    def _refresh_member_arrays(self) -> None:
-        if not self._member_arrays_dirty:
-            return
-        self._member_arrays = [
-            [np.asarray(ids, dtype=np.int64) for ids in row] for row in self._members
-        ]
+    def _stacked_planes(self) -> list:
         # Each cache entry is a (base_plane, delta_plane) pair;
-        # probe_words_batch ORs the gathered words of the two planes, which
+        # probe_words_batch ORs the gathered bytes of the two planes, which
         # equals probing the OR-merged plane — the from-scratch index's bits.
-        self._bit_cache = list(self._planes)
-        self._assignment_arrays = [
-            np.asarray(row, dtype=np.int64) % self.num_partitions
-            for row in self._assignments
-        ]
-        self._member_arrays_dirty = False
+        return list(self._planes)
 
     # -- immutability ------------------------------------------------------------------
 

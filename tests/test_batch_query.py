@@ -9,9 +9,15 @@ semantic change.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from hypothesis_profiles import tier
 
 from repro.baselines.cobs import CobsIndex
 from repro.baselines.inverted_index import InvertedIndex
@@ -83,6 +89,27 @@ class TestQueryResult:
         result = QueryResult.from_ids(np.array([3, 1]), ["a", "b", "c", "d"])
         assert result.doc_ids.tolist() == [1, 3]
 
+    @pytest.mark.parametrize("as_array", [True, False])
+    def test_batch_from_pairs(self, as_array):
+        """Pairs arrive in any order (the distributed layer concatenates
+        shards); each term gets its sorted ids, a term without pairs none."""
+        names = ["a", "b", "c", "d"]
+        table = np.array(names, dtype=object) if as_array else names
+        results = QueryResult.batch_from_pairs(
+            np.array([2, 0, 2, 0]), np.array([3, 1, 0, 2]), np.array([5, 6, 7]), table
+        )
+        assert [r.doc_ids.tolist() for r in results] == [[1, 2], [], [0, 3]]
+        assert [r.filters_probed for r in results] == [5, 6, 7]
+        assert [r.documents for r in results] == [{"b", "c"}, frozenset(), {"a", "d"}]
+        assert all(r.name_table is table for r in results)
+        assert all(r.doc_ids.dtype == np.int64 for r in results)
+        with pytest.raises(ValueError):
+            results[0].doc_ids[0] = 3  # slices of one shared read-only array
+        assert results[0] == QueryResult(documents=frozenset({"b", "c"}), filters_probed=5)
+        assert QueryResult.batch_from_pairs(
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), table
+        ) == []
+
     def test_eager_result_has_no_ids(self):
         result = QueryResult(documents=frozenset({"x"}))
         with pytest.raises(AttributeError):
@@ -141,6 +168,46 @@ class TestDoubleHashesBatch:
     def test_negative_int_keys_match_scalar_error_contract(self):
         with pytest.raises(ValueError, match="non-negative"):
             double_hashes_batch([3, -5], 2, 64)
+
+    #: Key lists around the packed-int fast path: the shapes that take it
+    #: (a list/tuple of plain non-negative ints) and every way out of it.
+    KEY_LISTS = {
+        "ints": [0, 1, 5, (1 << 63) + 17, (1 << 64) - 1, 5],
+        "tuple": (3, 9, 1 << 40),
+        "one-int": [77],
+        "bools": [True, 7, False],
+        "numpy-scalars": [np.uint64(12), 5, np.int32(9)],
+        "str-and-bytes-among-ints": [4, "ACGT", b"\x00\x01", bytearray(b"xy"), 4],
+        "only-str": ["a", "bb"],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("name", sorted(KEY_LISTS))
+    def test_every_key_shape_matches_scalar(self, name):
+        from repro.bloom.bloom_filter import _normalise_key
+
+        keys = self.KEY_LISTS[name]
+        batch = double_hashes_batch(keys, 3, 215386, seed=11)
+        assert batch.shape == (len(keys), 3) and batch.dtype == np.int64
+        for key, row in zip(keys, batch):
+            assert row.tolist() == double_hashes(_normalise_key(key), 3, 215386, 11)
+        # Any other iterable of the same keys takes the per-key pass.
+        assert np.array_equal(double_hashes_batch(iter(keys), 3, 215386, seed=11), batch)
+
+    @pytest.mark.parametrize(
+        "bad", [-5, 1 << 64, 1.5, None, np.float64(2.0), (1, 2)], ids=repr
+    )
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_rejected_keys_raise_the_contract_error(self, bad, container):
+        """A bad key among plain ints raises exactly what the per-key
+        contract raises — the fast path must not swallow or reword it."""
+        from repro.hashing.murmur3 import normalise_batch_key
+
+        with pytest.raises((ValueError, OverflowError, TypeError)) as expected:
+            normalise_batch_key(bad)
+        with pytest.raises(type(expected.value)) as raised:
+            double_hashes_batch(container([3, bad, 9]), 2, 4096)
+        assert str(raised.value) == str(expected.value)
 
     def test_huge_modulus_stays_exact(self):
         """Moduli at/above 2**63 cannot be represented in int64; the batch
@@ -329,6 +396,165 @@ class TestRamboBatch:
             loaded.query_terms_batch(terms), built_rambo.query_terms_batch(terms)
         ):
             assert got.documents == want.documents
+
+
+# -- the survivor-list kernel on every index shape ------------------------------------
+
+
+def fingerprint(results):
+    """Everything a query answer exposes: documents and probe accounting."""
+    return [(result.documents, result.filters_probed) for result in results]
+
+
+class TestKernelIdentity:
+    """batch == scalar ``query_term`` — documents *and* ``filters_probed``,
+    both methods — on every shape of index the kernel serves, including
+    forced term ranges (a tiny pair budget)."""
+
+    term_strategy = st.one_of(
+        st.integers(min_value=0, max_value=30), st.text(alphabet="abc", min_size=1, max_size=2)
+    )
+    corpus_strategy = st.lists(st.frozensets(term_strategy, max_size=8), min_size=1, max_size=12)
+    geometry_strategy = st.fixed_dictionaries(
+        {
+            "num_partitions": st.sampled_from([2, 4, 6]),
+            "repetitions": st.integers(min_value=1, max_value=4),
+            # Small filters: plenty of false positives, so pairs survive
+            # some repetitions and die in others.
+            "bfu_bits": st.sampled_from([16, 64, 300]),
+            "bfu_hashes": st.integers(min_value=1, max_value=3),
+        }
+    )
+
+    @staticmethod
+    def shaped(kind, config, documents, split, directory):
+        """The corpus as one of the index shapes ``query_terms_batch`` serves."""
+        from repro.core.serialization import open_index, save_index
+        from repro.ingest import DeltaOverlayIndex
+
+        if kind == "overlay":
+            base, delta = Rambo(config), Rambo(config)
+            base.add_documents(documents[:split])
+            delta.add_documents(documents[split:])
+            return DeltaOverlayIndex(base, delta)
+        index = Rambo(config)
+        index.add_documents(documents)
+        if kind == "folded":
+            return index.fold()
+        if kind == "mapped":
+            save_index(index, Path(directory) / "index.rambo2", format="mmap")
+            index = open_index(Path(directory) / "index.rambo2")
+            assert index.is_mapped
+        return index
+
+    @staticmethod
+    def query_mix(documents):
+        """Every corpus term, zero-hit terms of both types, and duplicates."""
+        terms = sorted({t for d in documents for t in d.terms}, key=repr)
+        return terms + ["zz-absent", 10**9] + terms[:3] + ["zz-absent"]
+
+    @given(
+        corpus_strategy,
+        geometry_strategy,
+        st.sampled_from(["memory", "mapped", "folded", "overlay"]),
+        st.sampled_from(["full", "sparse"]),
+        st.sampled_from([1, 7, None]),
+        st.data(),
+    )
+    @tier("determinism")
+    def test_batch_equals_scalar_on_every_shape(
+        self, corpus, geometry, kind, method, budget, data
+    ):
+        import repro.core.rambo as rambo_module
+
+        documents = [KmerDocument(name=f"doc{i}", terms=terms) for i, terms in enumerate(corpus)]
+        split = data.draw(st.integers(min_value=0, max_value=len(documents)))
+        config = RamboConfig(k=13, seed=5, **geometry)
+        terms = self.query_mix(documents)
+        budget = rambo_module.QUERY_PAIR_BUDGET if budget is None else budget
+        with tempfile.TemporaryDirectory() as directory:
+            index = self.shaped(kind, config, documents, split, directory)
+            scalar = fingerprint(scalar_reference(index, terms, method))
+            with mock.patch.object(rambo_module, "QUERY_PAIR_BUDGET", budget):
+                batch = index.query_terms_batch(terms, method=method)
+            assert fingerprint(batch) == scalar
+            for result in batch:
+                assert result.doc_ids.dtype == np.int64
+                assert result.doc_ids.tolist() == sorted(
+                    index.document_names.index(name) for name in result.documents
+                )
+            del index, batch  # release the mapping before the directory goes
+
+    @given(
+        corpus_strategy,
+        geometry_strategy,
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(["full", "sparse"]),
+    )
+    def test_distributed_equals_per_shard_scalar(self, corpus, geometry, num_nodes, method):
+        """A cluster's answer is the union of its shards' scalar answers, its
+        probe count their sum (every shard is probed)."""
+        documents = [KmerDocument(name=f"doc{i}", terms=terms) for i, terms in enumerate(corpus)]
+        cluster = DistributedRambo(num_nodes, RamboConfig(k=13, seed=5, **geometry))
+        cluster.add_documents(documents)
+        terms = self.query_mix(documents)
+        per_shard = [[shard.query_term(t, method=method) for shard in cluster.shards] for t in terms]
+        expected = [
+            (frozenset().union(*(r.documents for r in row)), sum(r.filters_probed for r in row))
+            for row in per_shard
+        ]
+        assert fingerprint(cluster.query_terms_batch(terms, method=method)) == expected
+        conjunction = cluster.query_terms(terms[:4], method=method)
+        assert conjunction.documents == frozenset.intersection(*(e[0] for e in expected[:4]))
+
+    @pytest.mark.parametrize("method", ["full", "sparse"])
+    def test_empty_index(self, method):
+        index = build_index([])
+        terms = ["a", 3, "a"]
+        batch = index.query_terms_batch(terms, method=method)
+        assert fingerprint(batch) == [(frozenset(), 0)] * 3
+        assert fingerprint(batch) == fingerprint(scalar_reference(index, terms, method))
+
+    @pytest.mark.parametrize("method", ["full", "sparse"])
+    def test_batch_one_longer_than_a_chunk(self, tiny_documents, method):
+        from repro.core.base import QUERY_BATCH_CHUNK_TERMS
+
+        index = build_index(tiny_documents, bfu_bits=1 << 6)
+        vocabulary = self.query_mix(tiny_documents)
+        scalar = {t: index.query_term(t, method=method) for t in vocabulary}
+        terms = [vocabulary[i % len(vocabulary)] for i in range(QUERY_BATCH_CHUNK_TERMS + 1)]
+        batch = index.query_terms_batch(terms, method=method)
+        assert fingerprint(batch) == fingerprint(scalar[t] for t in terms)
+
+    @pytest.mark.parametrize("method", ["full", "sparse"])
+    def test_saturated_index_in_forced_term_ranges(self, small_dataset, monkeypatch, method):
+        """Every BFU bit set: every term matches every document, the worst
+        case the pair budget exists for.  Forced term ranges answer as one."""
+        import repro.core.rambo as rambo_module
+
+        index = build_index(small_dataset.documents, bfu_bits=1 << 8)
+        for r in range(index.repetitions):
+            for b in range(index.num_partitions):
+                bits = index.bfu(r, b).bits
+                bits |= ~bits
+        index._invalidate_caches()  # noqa: SLF001 - the BFUs were edited in place
+        terms = ["a", 1, "b", 2, "a", 3, "c", 4, "d", 5, "e", 6]
+        unforced = fingerprint(index.query_terms_batch(terms, method=method))
+        assert unforced == fingerprint(scalar_reference(index, terms, method))
+        assert {documents for documents, _ in unforced} == {frozenset(index.document_names)}
+        positions = index._probe_matrix(terms)  # noqa: SLF001
+        for budget, expected_ranges in ((3 * index.num_documents, 4), (1, 12)):
+            monkeypatch.setattr(rambo_module, "QUERY_PAIR_BUDGET", budget)
+            ranges = list(index._chunk_pairs(positions, method))  # noqa: SLF001
+            assert len(ranges) == expected_ranges
+            # The ranges tile the chunk, and none expands past the budget
+            # unless it is down to a single term.
+            assert sum(probes.size for *_, probes in ranges) == len(terms)
+            assert all(
+                pair_terms.size <= budget or probes.size == 1
+                for pair_terms, _, probes in ranges
+            )
+            assert fingerprint(index.query_terms_batch(terms, method=method)) == unforced
 
 
 # -- COBS batch path -------------------------------------------------------------------

@@ -242,6 +242,90 @@ class TestProbeWordsBatch:
         with pytest.raises(ValueError):
             probe_words_batch(np.zeros(2, dtype=np.uint64), np.zeros((1, 1), dtype=np.int64))
 
+    def test_rejects_non_uint64_words(self):
+        """The byte gather addresses bits of 64-bit words; another word size
+        would silently probe the wrong bits."""
+        with pytest.raises(ValueError, match="uint64"):
+            probe_words_batch(np.zeros((3, 2), dtype=np.uint32), np.array([[1]]))
+
+    @staticmethod
+    def per_bit_reference(planes, positions):
+        """Bit ``p`` of a row is bit ``p % 64`` of its word ``p // 64``, taken
+        with Python integers; several planes are the OR of their words."""
+        rows = np.bitwise_or.reduce(np.stack(planes)).tolist()
+        verdict = [
+            [all(row[p // 64] >> (p % 64) & 1 for p in probes) for row in rows]
+            for probes in positions.tolist()
+        ]
+        return np.array(verdict, dtype=bool).reshape(len(positions), len(rows))
+
+    plane_stacks = st.tuples(
+        st.integers(min_value=1, max_value=3),   # planes
+        st.integers(min_value=0, max_value=5),   # rows
+        st.integers(min_value=1, max_value=3),   # words per row
+    ).flatmap(
+        lambda shape: st.lists(
+            st.integers(min_value=0, max_value=(1 << 64) - 1),
+            min_size=shape[0] * shape[1] * shape[2],
+            max_size=shape[0] * shape[1] * shape[2],
+        ).map(lambda values: np.array(values, dtype=np.uint64).reshape(shape))
+    )
+
+    @given(
+        plane_stacks,
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=4),
+        st.data(),
+    )
+    def test_matches_per_bit_reference(self, stack, num_queries, eta, data):
+        """Single planes and plane tuples, any eta including 0."""
+        num_bits = stack.shape[2] * 64
+        positions = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(st.integers(0, num_bits - 1), min_size=eta, max_size=eta),
+                    min_size=num_queries,
+                    max_size=num_queries,
+                )
+            ),
+            dtype=np.int64,
+        ).reshape(num_queries, eta)
+        planes = list(stack)
+        expected = self.per_bit_reference(planes, positions)
+        assert np.array_equal(probe_words_batch(tuple(planes), positions), expected)
+        assert np.array_equal(probe_words_batch(planes, positions), expected)
+        single = self.per_bit_reference(planes[:1], positions)
+        assert np.array_equal(probe_words_batch(planes[0], positions), single)
+
+    @pytest.mark.parametrize("planes", [1, 2])
+    def test_out_of_range_positions_rejected(self, planes):
+        words = np.full((2, 2), (1 << 64) - 1, dtype=np.uint64)
+        payload = words if planes == 1 else (words, words)
+        for position in (-1, 128, 1 << 40):
+            with pytest.raises(IndexError):
+                probe_words_batch(payload, np.array([[5, position]], dtype=np.int64))
+        # The last addressable bit is fine.
+        assert probe_words_batch(payload, np.array([[5, 127]], dtype=np.int64)).all()
+
+    def test_big_endian_byte_index(self, monkeypatch):
+        """On a big-endian host the same words lie byte-mirrored in memory
+        and the kernel mirrors its byte index (XOR 7).  A byteswapped copy
+        *is* that memory image, so the flipped kernel must read it right."""
+        import repro.bloom.bitarray as bitarray_module
+
+        rng = np.random.default_rng(11)
+        words = rng.integers(0, 1 << 63, size=(4, 3), dtype=np.uint64) << np.uint64(1)
+        words |= rng.integers(0, 2, size=(4, 3), dtype=np.uint64)
+        positions = rng.integers(0, 192, size=(40, 2))
+        expected = probe_words_batch(words, positions)
+        assert np.array_equal(expected, self.per_bit_reference([words], positions))
+        assert expected.any() and not expected.all()
+        flip = bitarray_module._BYTE_FLIP  # noqa: SLF001
+        monkeypatch.setattr(bitarray_module, "_BYTE_FLIP", flip ^ 7)
+        mirrored = words.byteswap()
+        assert np.array_equal(probe_words_batch(mirrored, positions), expected)
+        assert np.array_equal(probe_words_batch((mirrored, mirrored), positions), expected)
+
 
 class TestSerialisation:
     @given(sizes, st.data())

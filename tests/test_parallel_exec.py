@@ -497,25 +497,23 @@ class TestSmallBatchIdentity:
                     assert observed.filters_probed == inline.filters_probed, context
 
     @pytest.mark.parametrize("method", ["full", "sparse"])
-    def test_no_pool_task_below_two_shards(self, built_rambo, query_terms, monkeypatch, method):
-        """The term split is the only fan-out of a query: the R gathers run
-        inline, so a batch too short to split never touches the pool."""
-        import repro.core.rambo as rambo_module
+    def test_batch_query_submits_no_pool_task(self, built_rambo, query_terms, monkeypatch, method):
+        """A RAMBO query of any size runs on the calling thread: the kernel
+        is a few dozen short numpy calls, too little for the pool to win
+        back its hand-offs (docs/ARCHITECTURE.md, "Parallel execution")."""
+        pools_requested = []
 
-        submitted = []
+        def recording_get_pool(size):
+            pools_requested.append(size)
+            return real_get_pool(size)
 
-        def recording_map(fn, items, threads=None):
-            submitted.append(len(list(items)))
-            return parallel_map(fn, items, threads)
-
-        monkeypatch.setattr(rambo_module, "parallel_map", recording_map)
-        floor = executor.get_min_terms_per_shard()
-        with num_threads(4):
-            for size in (1, 8, floor - 1, floor, 2 * floor - 1):
+        real_get_pool = executor._get_pool  # noqa: SLF001
+        monkeypatch.setattr(executor, "_get_pool", recording_get_pool)
+        with num_threads(4), executor.min_terms_per_shard(1):
+            for size in (1, 8, 64, 128, len(query_terms)):
                 built_rambo.query_terms_batch(query_terms[:size], method=method)
                 built_rambo.query_terms(query_terms[:size], method=method)
-            assert submitted == []
-            built_rambo.query_terms(query_terms[: 2 * floor], method=method)
-            assert submitted == []
-            built_rambo.query_terms_batch(query_terms[: 2 * floor], method=method)
-            assert submitted == [2]  # two term shards of `floor` terms each
+            assert pools_requested == []
+            # The recorder does see a real fan-out.
+            parallel_map(lambda x: x, [1, 2])
+            assert pools_requested == [4]

@@ -105,6 +105,43 @@ class TestConstruction:
                 expected = index._family(doc.name, r) % index.num_partitions
                 assert doc.name in index.partition_members(r, expected)
 
+    def test_member_lists_agree_with_assignments_on_every_derived_index(
+        self, small_dataset, tmp_path
+    ):
+        """Queries read the doc -> partition assignment; ``partition_members``,
+        fold and the containers read the partition -> docs lists.  Every way
+        of deriving an index must keep the two views of one mapping equal."""
+        from repro.core.distributed import DistributedRambo, stack_shards
+        from repro.core.parallel import merge_indexes
+        from repro.core.serialization import load_index, open_index, save_index
+
+        documents = small_dataset.documents
+        config = RamboConfig(num_partitions=8, repetitions=3, bfu_bits=1 << 10, k=13, seed=5)
+        built = build_index(documents, **config.to_dict())
+        halves = [Rambo(config), Rambo(config)]
+        halves[0].add_documents(documents[:11])
+        halves[1].add_documents(documents[11:], parallel=True)
+        cluster = DistributedRambo(num_nodes=3, node_config=config)
+        cluster.add_documents(documents)
+        save_index(built.fold(), tmp_path / "v1.rambo")
+        save_index(built, tmp_path / "v2.rambo2", format="mmap")
+        derived = {
+            "built": built,
+            "folded twice": built.fold().fold(),
+            "merged": merge_indexes(halves),
+            "stacked then folded": stack_shards(cluster).fold(),
+            "loaded": load_index(tmp_path / "v1.rambo"),
+            "mapped": open_index(tmp_path / "v2.rambo2"),
+        }
+        for label, index in derived.items():
+            index._refresh_member_arrays()  # noqa: SLF001
+            names = index.document_names
+            for r in range(index.repetitions):
+                assignment = index._assignment_arrays[r].tolist()  # noqa: SLF001
+                for b in range(index.num_partitions):
+                    expected = [name for name, a in zip(names, assignment) if a == b]
+                    assert index.partition_members(r, b) == expected, (label, r, b)
+
 
 class TestQuery:
     def test_zero_false_negatives_tiny(self, tiny_documents):
