@@ -33,10 +33,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.bloom.bitarray import BitArray
-from repro.bloom.bloom_filter import BloomFilter
 from repro.core.executor import parallel_map
-from repro.core.rambo import Rambo, RamboConfig
+from repro.core.rambo import Rambo, RamboConfig, members_from_assignments
 from repro.kmers.extraction import KmerDocument
 
 
@@ -79,47 +77,38 @@ def merge_indexes(parts: Sequence[Rambo]) -> Rambo:
 
     repetitions = first.repetitions
     num_partitions = first.num_partitions
-    # BFU merge: one raw backing-array OR per repetition.  Every part's B
-    # payloads are stacked into a (B, words) matrix and OR-accumulated in a
-    # single vectorised pass — no per-filter union loop.  The merged filters
-    # are views into the accumulator rows, so each repetition's BFU bits
-    # live in one contiguous block (which is also what the batched query
-    # engine re-stacks into its bit cache).
-    bfus: List[List[BloomFilter]] = []
+    # BFU merge: one raw OR per part and repetition, straight on the
+    # (B, words) planes (zero-copy for mapped and plane-backed parts) — no
+    # per-filter union loop.  The merged index is built over the
+    # accumulators, so its BFUs are row views of one contiguous block per
+    # repetition: what the batch engine probes and save_index_mmap writes.
+    planes = []
     for r in range(repetitions):
-        accumulator = np.stack([bfu.bits.words for bfu in parts[0]._bfus[r]])  # noqa: SLF001
-        for part in parts[1:]:
-            np.bitwise_or(
-                accumulator,
-                np.stack([bfu.bits.words for bfu in part._bfus[r]]),  # noqa: SLF001
-                out=accumulator,
-            )
-        row: List[BloomFilter] = []
-        for b in range(num_partitions):
-            template = first.bfu(r, b)
-            merged = BloomFilter(template.num_bits, template.num_hashes, template.seed)
-            merged.bits = BitArray(template.num_bits, accumulator[b])
-            merged.num_items = sum(part.bfu(r, b).num_items for part in parts)
-            row.append(merged)
-        bfus.append(row)
+        accumulator = np.zeros(
+            (num_partitions, first.config.words_per_bfu), dtype=np.uint64
+        )
+        for part in parts:
+            np.bitwise_or(accumulator, part._plane(r), out=accumulator)  # noqa: SLF001
+        planes.append(accumulator)
 
+    # Document ids are re-assigned part by part, in order.
     doc_names: List[str] = []
     assignments: List[List[int]] = [[] for _ in range(repetitions)]
-    members: List[List[List[int]]] = [
-        [[] for _ in range(num_partitions)] for _ in range(repetitions)
-    ]
-    # Document ids are re-assigned part by part, in order.
     for part in parts:
-        offset = len(doc_names)
         doc_names.extend(part.document_names)
         for r in range(repetitions):
             assignments[r].extend(part._assignments[r])  # noqa: SLF001
-            for b in range(num_partitions):
-                part_members = part._members[r][b]  # noqa: SLF001
-                members[r][b].extend(offset + doc_id for doc_id in part_members)
-    return Rambo._from_parts(  # noqa: SLF001
-        first.config, bfus, doc_names, assignments, members
+    merged = Rambo._from_planes(  # noqa: SLF001
+        first.config,
+        planes,
+        doc_names,
+        assignments,
+        members_from_assignments(assignments, num_partitions),
     )
+    for r in range(repetitions):
+        for b in range(num_partitions):
+            merged.bfu(r, b).num_items = sum(part.bfu(r, b).num_items for part in parts)
+    return merged
 
 
 def _build_partial(config: RamboConfig, documents: Sequence[KmerDocument]) -> Rambo:

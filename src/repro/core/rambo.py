@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.bloom.bitarray import probe_words_batch
+from repro.bloom.bitarray import BitArray, probe_words_batch
 from repro.bloom.bloom_filter import BloomFilter, _normalise_key, optimal_num_bits
 from repro.core.base import (
     MembershipIndex,
@@ -101,6 +101,11 @@ class RamboConfig:
             raise ValueError(f"bfu_hashes must be positive, got {self.bfu_hashes}")
         if not (1 <= self.k <= 31):
             raise ValueError(f"k must be in [1, 31], got {self.k}")
+
+    @property
+    def words_per_bfu(self) -> int:
+        """``uint64`` words backing one BFU (``bfu_bits`` rounded up to whole words)."""
+        return (self.bfu_bits + 63) // 64
 
     def to_dict(self) -> Dict[str, int]:
         """JSON-ready field mapping, the single schema every on-disk header uses.
@@ -180,6 +185,23 @@ class RamboConfig:
         )
 
 
+def members_from_assignments(
+    assignments: Sequence[Sequence[int]], num_partitions: int
+) -> List[List[List[int]]]:
+    """Invert ``assignments[r][doc_id]`` into ``members[r][b]`` lists.
+
+    ``members[r][b]`` holds the doc ids assigned to BFU ``(r, b)``, ascending
+    — the inverse map every index keeps beside its assignment table.
+    """
+    members: List[List[List[int]]] = [
+        [[] for _ in range(num_partitions)] for _ in assignments
+    ]
+    for row, assignment in zip(members, assignments):
+        for doc_id, b in enumerate(assignment):
+            row[b].append(doc_id)
+    return members
+
+
 class Rambo(MembershipIndex):
     """Repeated And Merged Bloom Filter index.
 
@@ -234,9 +256,11 @@ class Rambo(MembershipIndex):
         self._members: List[List[List[int]]] = [
             [[] for _ in range(config.num_partitions)] for _ in range(config.repetitions)
         ]
-        # Per-repetition (B, words) memmap planes when the index was opened
-        # from the on-disk mmap container; None for in-memory indexes.
-        self._mapped_bits: Optional[List[np.ndarray]] = None
+        # Per-repetition (B, words) planes the BFUs are row views of (see
+        # _from_planes); None while every BFU owns its words.  _mapped says
+        # the planes are a memory-mapped file rather than process memory.
+        self._planes: Optional[List[np.ndarray]] = None
+        self._mapped = False
         self._invalidate_caches()
 
     def _invalidate_caches(self) -> None:
@@ -288,8 +312,46 @@ class Rambo(MembershipIndex):
         index._doc_ids = {name: i for i, name in enumerate(doc_names)}
         index._assignments = assignments
         index._members = members
-        index._mapped_bits = None
+        index._planes = None
+        index._mapped = False
         index._invalidate_caches()
+        return index
+
+    @classmethod
+    def _from_planes(
+        cls,
+        config: RamboConfig,
+        planes: Sequence[np.ndarray],
+        doc_names: List[str],
+        assignments: List[List[int]],
+        members: List[List[List[int]]],
+        mapped: bool = False,
+    ) -> "Rambo":
+        """Assemble an index over per-repetition ``(B, words)`` bit planes.
+
+        Every BFU wraps one row of its repetition's plane, so the planes
+        *are* the payload: ``set_many`` scatters straight into them and the
+        batch engine gathers from them with no per-BFU restacking.  This is
+        the layout behind the mmap container (``mapped=True``: the planes
+        are a file mapping, possibly read-only), merged indexes, and the
+        streaming-ingest delta, whose planes are ordinary writable memory.
+        """
+        bfu_seed = combine_seeds(config.seed, 0xBF0)
+        bfus = [
+            [
+                BloomFilter.from_parts(
+                    config.bfu_bits,
+                    config.bfu_hashes,
+                    bfu_seed,
+                    BitArray(config.bfu_bits, row),
+                )
+                for row in plane
+            ]
+            for plane in planes
+        ]
+        index = cls._from_parts(config, bfus, doc_names, assignments, members)
+        index._planes = list(planes)
+        index._mapped = mapped
         return index
 
     # -- construction -----------------------------------------------------------------
@@ -309,10 +371,14 @@ class Rambo(MembershipIndex):
         """Names of the indexed documents, in insertion order."""
         return list(self._doc_names)
 
+    def __contains__(self, name: str) -> bool:
+        """Whether a document called *name* is indexed."""
+        return name in self._doc_ids
+
     @property
     def is_mapped(self) -> bool:
         """Whether the BFU payload is served from a memory-mapped file."""
-        return self._mapped_bits is not None
+        return self._mapped
 
     @property
     def readonly(self) -> bool:
@@ -324,8 +390,8 @@ class Rambo(MembershipIndex):
         (``mode="c"``) is writable; its mutations live in anonymous memory
         and are never written back to the file.
         """
-        return self._mapped_bits is not None and not bool(
-            self._mapped_bits[0].flags.writeable
+        return self._planes is not None and not bool(
+            self._planes[0].flags.writeable
         )
 
     def _require_writable(self) -> None:
@@ -515,15 +581,20 @@ class Rambo(MembershipIndex):
         self._name_array = np.array(self._doc_names, dtype=object)
         self._member_arrays_dirty = False
 
+    def _plane(self, repetition: int) -> np.ndarray:
+        """The ``(B, words)`` payload of one repetition.
+
+        Zero-copy for a plane-backed index (:meth:`_from_planes`: the batch
+        engine then gathers straight from the mapping or the live planes);
+        a fresh stack of the BFUs' words otherwise.
+        """
+        if self._planes is not None:
+            return self._planes[repetition]
+        return np.stack([bfu.bits.words for bfu in self._bfus[repetition]])
+
     def _stacked_planes(self) -> list:
         """Per-repetition ``(B, words)`` payload :func:`probe_words_batch` reads."""
-        if self._mapped_bits is not None:
-            # Mapped indexes already hold each repetition as one contiguous
-            # (B, words) plane on disk; install the views directly so the
-            # batch engine gathers zero-copy from the page cache instead of
-            # stacking an in-memory copy of the whole payload.
-            return list(self._mapped_bits)
-        return [np.stack([bfu.bits.words for bfu in row]) for row in self._bfus]
+        return [self._plane(r) for r in range(self.repetitions)]
 
     def _probe_positions(self, term: Term) -> List[int]:
         """Probe positions of *term*, valid for every BFU (shared size/seed)."""

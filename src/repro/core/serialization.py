@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.bloom.bitarray import BitArray
 from repro.bloom.bloom_filter import BloomFilter
-from repro.core.rambo import Rambo, RamboConfig
+from repro.core.rambo import Rambo, RamboConfig, members_from_assignments
 from repro.hashing.murmur3 import combine_seeds
 from repro.io.diskformat import (
     MAGIC_V2,
@@ -91,14 +91,10 @@ def _restore_bookkeeping(
         len(row) != len(names) for row in assignments
     ):
         raise ValueError(f"{path} has inconsistent assignment tables")
-    members: List[List[List[int]]] = [
-        [[] for _ in range(config.num_partitions)] for _ in range(config.repetitions)
-    ]
-    for r, row in enumerate(assignments):
-        for doc_id, b in enumerate(row):
-            if not (0 <= b < config.num_partitions):
-                raise ValueError(f"{path} has an out-of-range partition assignment {b}")
-            members[r][b].append(doc_id)
+    bad = [b for row in assignments for b in row if not (0 <= b < config.num_partitions)]
+    if bad:
+        raise ValueError(f"{path} has an out-of-range partition assignment {bad[0]}")
+    members = members_from_assignments(assignments, config.num_partitions)
     return config, list(names), [list(row) for row in assignments], members
 
 
@@ -180,8 +176,7 @@ def load_index(path: PathLike) -> Rambo:
 
         # Restore the BFU payloads.
         bfu_seed = combine_seeds(config.seed, 0xBF0)
-        words_per_bfu = (config.bfu_bits + 63) // 64
-        bytes_per_bfu = words_per_bfu * 8
+        bytes_per_bfu = config.words_per_bfu * 8
         bfus = []
         for r in range(config.repetitions):
             row_bfus = []
@@ -218,13 +213,14 @@ def save_index_mmap(index: Rambo, path: PathLike, sidecar_name: Optional[str] = 
     header["kind"] = "rambo"
     if sidecar_name is not None:
         header["metadata_sidecar"] = sidecar_name
-    words_per_bfu = (index.config.bfu_bits + 63) // 64
     payload = np.empty(
-        (index.repetitions, index.num_partitions, words_per_bfu), dtype=np.uint64
+        (index.repetitions, index.num_partitions, index.config.words_per_bfu),
+        dtype=np.uint64,
     )
+    # One repetition at a time: a BFU-backed index stacks a plane-sized
+    # temporary per repetition, never a second copy of the whole payload.
     for r in range(index.repetitions):
-        for b in range(index.num_partitions):
-            payload[r, b] = index.bfu(r, b).bits.words
+        payload[r] = index._plane(r)  # noqa: SLF001
     return write_container(path, header, payload)
 
 
@@ -260,8 +256,7 @@ def open_index_mmap(path: PathLike, mode: str = "r") -> Rambo:
             f"{path} holds a {header.get('kind')!r} index, not a RAMBO index"
         )
     config, names, assignments, members = _restore_bookkeeping(header, path)
-    words_per_bfu = (config.bfu_bits + 63) // 64
-    expected_shape = (config.repetitions, config.num_partitions, words_per_bfu)
+    expected_shape = (config.repetitions, config.num_partitions, config.words_per_bfu)
     shape = tuple(header["payload"]["shape"])
     if shape != expected_shape:
         raise ValueError(
@@ -272,23 +267,9 @@ def open_index_mmap(path: PathLike, mode: str = "r") -> Rambo:
     # but slicing it skips np.memmap's per-view subclass machinery — with
     # thousands of BFUs that overhead would dominate the open time.
     mapped = np.asarray(map_container_payload(path, header, payload_offset, mode=mode))
-
-    bfu_seed = combine_seeds(config.seed, 0xBF0)
-    bfus = [
-        [
-            BloomFilter.from_parts(
-                config.bfu_bits,
-                config.bfu_hashes,
-                bfu_seed,
-                BitArray(config.bfu_bits, mapped[r, b]),
-            )
-            for b in range(config.num_partitions)
-        ]
-        for r in range(config.repetitions)
-    ]
-    index = Rambo._from_parts(config, bfus, names, assignments, members)  # noqa: SLF001
-    index._mapped_bits = [mapped[r] for r in range(config.repetitions)]  # noqa: SLF001
-    return index
+    return Rambo._from_planes(  # noqa: SLF001
+        config, list(mapped), names, assignments, members, mapped=True
+    )
 
 
 def open_index(path: PathLike, mode: str = "r") -> Rambo:

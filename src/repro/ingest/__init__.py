@@ -4,7 +4,7 @@ PRs 1–7 made the index fast to build, fast to query and rotatable while
 serving — but still build-then-frozen.  This package closes ROADMAP item 2:
 documents appended *while queries are in flight*, with the crash-safety of
 a write-ahead log and answers that stay bit-identical to a from-scratch
-build at every instant.  Three pieces, smallest first:
+build at every instant.  Four pieces, smallest first:
 
 * :mod:`repro.io.walformat` (lives beside the container format) — the
   length+CRC framed, fsync-on-commit WAL segment; replay tolerates the
@@ -16,11 +16,17 @@ build at every instant.  Three pieces, smallest first:
   query path (full, sparse, batch, conjunctive) returns documents **and
   probe counts** bit-identical to a from-scratch build of the same
   documents.  Asserted by the property harness, not assumed.
+* :class:`~repro.ingest.overlay.LiveDelta` — the one owner of the live
+  delta, driven by the primary's engine and the standby's alike: absorbs
+  batches into writable bit planes via the existing bulk ``add_documents``
+  path and publishes them by copying only the rows a batch touched into a
+  drained frozen plane set — an append's cost follows its documents, not
+  the size of the delta.
 * :class:`~repro.ingest.engine.IngestEngine` — the append/recover/compact
-  protocol: WAL fsync before acknowledgement, delta absorption via the
-  existing bulk ``add_documents`` path, overlay publication through the
-  serving :class:`~repro.serve.snapshot.SnapshotManager` (queries never
-  block, in-flight batches drain on their own generation), and a
+  protocol: WAL fsync before acknowledgement, then absorb and publish
+  through the serving :class:`~repro.serve.snapshot.SnapshotManager`
+  (queries never block, in-flight batches drain on their own generation),
+  and a
   :class:`~repro.ingest.engine.BackgroundCompactor` that folds the delta
   into a fresh ``RAMBO2`` snapshot via ``merge_indexes``/``save_mmap``,
   rotates it in, and truncates the WAL — crash-consistent at every step
@@ -28,11 +34,12 @@ build at every instant.  Three pieces, smallest first:
 """
 
 from repro.ingest.engine import AppendResult, BackgroundCompactor, IngestEngine
-from repro.ingest.overlay import DeltaOverlayIndex
+from repro.ingest.overlay import DeltaOverlayIndex, LiveDelta
 
 __all__ = [
     "AppendResult",
     "BackgroundCompactor",
     "DeltaOverlayIndex",
     "IngestEngine",
+    "LiveDelta",
 ]

@@ -8,18 +8,22 @@ The append/compact/recover protocol, end to end (every step crash-safe):
    any state;
 2. frame + fsync the batch into the current WAL segment — this is the
    durability point; only now may the caller be acknowledged;
-3. absorb the batch into the in-memory delta via the stock
-   ``Rambo.add_documents`` bulk path;
-4. publish a fresh :class:`~repro.ingest.overlay.DeltaOverlayIndex` through
-   the service's :class:`~repro.serve.snapshot.SnapshotManager` — queries
-   never block on ingest (the lock covers writers only), and in-flight
-   query batches drain against the overlay generation they leased.
+3. absorb the batch into the live delta
+   (:class:`~repro.ingest.overlay.LiveDelta`, the one owner this engine and
+   the standby's :class:`~repro.replicate.replica.ReplicaEngine` both
+   drive) via the stock ``Rambo.add_documents`` bulk path;
+4. have it publish a fresh :class:`~repro.ingest.overlay.DeltaOverlayIndex`
+   through the service's :class:`~repro.serve.snapshot.SnapshotManager` —
+   the rows the batch touched are copied into a drained frozen plane set,
+   queries never block on ingest (the lock covers writers only), and
+   in-flight query batches drain against the overlay generation they
+   leased.
 
 **Compact** (:meth:`IngestEngine.compact`) — fold the delta into a new
 ``RAMBO2`` snapshot without ever serving an inconsistent state:
 
-1. ``merge_indexes((base, delta))`` — a raw bit-plane OR plus re-based
-   bookkeeping, bit-identical to a from-scratch build;
+1. ``LiveDelta.merged_with(base)`` (``merge_indexes``) — a raw bit-plane OR
+   plus re-based bookkeeping, bit-identical to a from-scratch build;
 2. write the merged snapshot to ``snapshot-<gen>.rambo2`` via a temp file +
    ``os.replace`` + directory fsync (the file is complete or absent);
 3. create the empty ``wal-<gen>.log`` segment (header fsynced);
@@ -46,12 +50,10 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, Optional, Union
 
-from repro.core.parallel import merge_indexes
-from repro.core.rambo import Rambo
 from repro.core.serialization import open_index, save_index
-from repro.ingest.overlay import DeltaOverlayIndex
+from repro.ingest.overlay import LiveDelta
 from repro.io.walformat import (
     SegmentedWalWriter,
     _fsync_directory,
@@ -280,7 +282,7 @@ class IngestEngine:
             wal_name = self._wal_name(0)
         self._base = base
         self._base_path = base_path
-        self._delta = Rambo(base.config)
+        self._delta = LiveDelta(base.config)
         replay = replay_wal_generation(
             self.wal_dir, self.generation, expected_config=base.config
         )
@@ -288,27 +290,11 @@ class IngestEngine:
         if replay is not None:
             self.torn_bytes_truncated = truncate_torn_generation(replay)
             segments = replay.segments
-            # Idempotence across the durable-but-unacknowledged crash
-            # window: a record whose documents already made it into the
-            # base (compaction raced the crash) replays as a no-op, and a
-            # name duplicated inside the segment itself (a client retrying
-            # an unacknowledged batch) keeps its first record only —
-            # recovery must never turn duplicate data into a startup
-            # failure.
-            fresh: List[KmerDocument] = []
-            replayed_names = set()
-            for doc in replay.documents:
-                if (
-                    doc.name in base._doc_ids  # noqa: SLF001
-                    or doc.name in replayed_names
-                ):
-                    continue
-                replayed_names.add(doc.name)
-                fresh.append(doc)
-            self.replay_skipped = len(replay.documents) - len(fresh)
-            self.replayed_documents = len(fresh)
-            if fresh:
-                self._delta.add_documents(fresh)
+            # Idempotent across the durable-but-unacknowledged crash window
+            # (see LiveDelta.absorb_fresh): recovery must never turn
+            # duplicate data into a startup failure.
+            self.replayed_documents = self._delta.absorb_fresh(replay.documents, base)
+            self.replay_skipped = len(replay.documents) - self.replayed_documents
         self._wal = SegmentedWalWriter(
             self.wal_dir,
             base.config,
@@ -321,7 +307,7 @@ class IngestEngine:
             self._write_manifest(self.generation, None, wal_name)
         self._prune_stale_files()
         if self._delta.num_documents:
-            self._publish_overlay()
+            self._delta.publish(self.service, base, base_path)
 
     def _prune_stale_files(self) -> None:
         """Drop segment/snapshot files of other generations (crash debris).
@@ -350,14 +336,6 @@ class IngestEngine:
                 path.unlink(missing_ok=True)
 
     # -- the write path ----------------------------------------------------------------
-
-    def _publish_overlay(self):
-        """Swap a fresh overlay (or the bare base) into the serving pointer."""
-        if self._delta.num_documents:
-            index: Rambo = DeltaOverlayIndex(self._base, self._delta)
-        else:
-            index = self._base
-        return self.service.swap(index, self._base_path)
 
     def append(self, documents: Iterable[KmerDocument]) -> AppendResult:
         """Durably append *documents*; acknowledged only after the WAL fsync.
@@ -396,8 +374,8 @@ class IngestEngine:
             batch_names = set()
             for doc in docs:
                 if (
-                    doc.name in self._base._doc_ids  # noqa: SLF001
-                    or doc.name in self._delta._doc_ids  # noqa: SLF001
+                    doc.name in self._base
+                    or doc.name in self._delta
                     or doc.name in batch_names
                 ):
                     raise ValueError(f"document {doc.name!r} already indexed")
@@ -407,7 +385,7 @@ class IngestEngine:
                     doc.validated_hash_keys()
             generation = self.generation
             wal_bytes = self._wal.append(docs, sync=not group)
-            self._delta.add_documents(docs)
+            self._delta.absorb(docs)
             self.append_batches += 1
             self.appended_documents += len(docs)
             if group:
@@ -417,7 +395,9 @@ class IngestEngine:
                 target_records = self._wal.total_records
             else:
                 target_records = self._wal.committed_records
-                snapshot = self._publish_overlay()
+                snapshot = self._delta.publish(
+                    self.service, self._base, self._base_path
+                )
                 result = AppendResult(
                     len(docs),
                     snapshot.snapshot_id,
@@ -470,7 +450,7 @@ class IngestEngine:
                 time.sleep(self.group_commit_ms / 1000.0)
                 with self._lock:
                     self._wal.sync()
-                    self._publish_overlay()
+                    self._delta.publish(self.service, self._base, self._base_path)
                     committed = (self.generation, self._wal.committed_records)
                 with self._gc_cond:
                     self._gc_committed = max(self._gc_committed, committed)
@@ -511,7 +491,7 @@ class IngestEngine:
             # the fold disagreeing about what the generation holds.
             self._wal.sync()
             generation = self.generation + 1
-            merged = merge_indexes((self._base, self._delta))
+            merged = self._delta.merged_with(self._base)
             snapshot_name = self._snapshot_name(generation)
             snapshot_path = self.wal_dir / snapshot_name
             tmp = snapshot_path.with_suffix(".tmp")
@@ -540,7 +520,7 @@ class IngestEngine:
             self.generation = generation
             self._base = new_base
             self._base_path = str(snapshot_path)
-            self._delta = Rambo(new_base.config)
+            self._delta.reset()
             self._wal = new_wal
             old_wal.close()
             self._prune_stale_files()

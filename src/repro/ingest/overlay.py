@@ -1,4 +1,8 @@
-"""The delta-overlay query view: base snapshot OR in-memory delta, exactly.
+"""The delta overlay: base snapshot OR live delta, exactly — and its owner.
+
+:class:`DeltaOverlayIndex` is the immutable query view; :class:`LiveDelta`
+owns the writable delta behind it and publishes one overlay per
+acknowledged batch at a cost that follows the batch.
 
 The obvious way to overlay a delta — query base and delta separately and OR
 the per-term document bitmaps — is **wrong** for RAMBO: a combined BFU can
@@ -20,17 +24,22 @@ on (name, family, config), the overlay with concatenated bookkeeping is
 *definitionally* the index a from-scratch build of base-then-delta
 documents produces — same documents, same probe counts, every query method.
 The Hypothesis harness in ``tests/test_ingest.py`` asserts this after every
-generated interleaving rather than trusting the argument.
+generated interleaving — for the served index and for every snapshot a
+reader still leases — rather than trusting the argument.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.bloom.bitarray import popcount_words
-from repro.core.rambo import Rambo
+from repro.core.parallel import merge_indexes
+from repro.core.rambo import Rambo, RamboConfig, members_from_assignments
+from repro.kmers.extraction import KmerDocument
 
 
 class DeltaOverlayIndex(Rambo):
@@ -43,11 +52,20 @@ class DeltaOverlayIndex(Rambo):
         :class:`Rambo` works.  Not copied; its bit planes are referenced
         (zero-copy for a mapped base).
     delta:
-        The in-memory delta absorbing appended documents.  Its stacked bit
-        planes are captured *at construction* (the stacks are fresh copies
-        the delta abandons on its next mutation), so the overlay is a true
-        snapshot: later appends to the delta are invisible until a new
-        overlay is published.
+        The index holding the documents appended since.  Its names and
+        assignments are copied and its bit planes captured *at
+        construction*, so the overlay is a true snapshot: later appends to
+        the delta are invisible until a new overlay is published.  A
+        BFU-backed delta hands over its cached stack (a copy it abandons on
+        its next mutation); one whose planes are writable memory
+        (:meth:`Rambo._from_planes`) is copied, since its stack aliases
+        bits the next insert changes.
+    delta_planes:
+        Frozen per-repetition planes to probe instead of capturing
+        *delta*'s — the :class:`LiveDelta` hand-off.  The caller promises
+        they hold exactly *delta*'s current bits and do not change while
+        the overlay can be read; the engines keep that promise through the
+        snapshot lease (see :class:`LiveDelta`).
 
     The overlay rejects every mutation (:meth:`add_documents`, ``fold``,
     ``save_mmap``) with a clean error — writes go through the
@@ -55,7 +73,12 @@ class DeltaOverlayIndex(Rambo):
     overlay per acknowledged batch.
     """
 
-    def __init__(self, base: Rambo, delta: Rambo) -> None:
+    def __init__(
+        self,
+        base: Rambo,
+        delta: Rambo,
+        delta_planes: Optional[Sequence[np.ndarray]] = None,
+    ) -> None:
         if base.config != delta.config:
             raise ValueError(
                 f"overlay parts disagree on config: base {base.config} "
@@ -66,45 +89,50 @@ class DeltaOverlayIndex(Rambo):
                 "overlay parts disagree on partition count "
                 f"({base.num_partitions} vs {delta.num_partitions})"
             )
-        duplicates = [name for name in delta._doc_names if name in base._doc_ids]  # noqa: SLF001
+        duplicates = [name for name in delta._doc_names if name in base]  # noqa: SLF001
         if duplicates:
             raise ValueError(
                 f"delta re-indexes base documents: {duplicates[:3]!r}..."
                 if len(duplicates) > 3
                 else f"delta re-indexes base documents: {duplicates!r}"
             )
-        # Prime both parts' stacked planes now; the references below then
-        # stay frozen (any later delta mutation invalidates and rebuilds the
-        # delta's own cache, abandoning these arrays to this overlay).
+        # Prime the base's stacked planes once; every later overlay over the
+        # same base re-uses them.
         base._refresh_member_arrays()  # noqa: SLF001
-        delta._refresh_member_arrays()  # noqa: SLF001
+        if delta_planes is None:
+            # A BFU-backed delta's cached stack is a copy it abandons on its
+            # next mutation; planes that *are* its writable payload are not.
+            delta._refresh_member_arrays()  # noqa: SLF001
+            delta_planes = delta._bit_cache  # noqa: SLF001
+            if delta._planes is not None and not delta.readonly:  # noqa: SLF001
+                delta_planes = [plane.copy() for plane in delta_planes]
 
         self.config = base.config
         self.k = base.k
         self._family = base._family  # noqa: SLF001
-        self._bfus = base._bfus  # noqa: SLF001 - geometry only; probes use _planes
-        offset = len(base._doc_names)  # noqa: SLF001
-        self._doc_names = list(base._doc_names) + list(delta._doc_names)  # noqa: SLF001
-        self._doc_ids = {name: i for i, name in enumerate(self._doc_names)}
+        self._bfus = base._bfus  # noqa: SLF001 - geometry only; probes use _plane_pairs
+        self._planes = None
+        self._mapped = False
+        # What an append pays for per publish: two list concatenations.  The
+        # name -> id map and the member lists no query reads are derived on
+        # first use; the numpy views are the stock lazy refresh.
+        self._doc_names = base._doc_names + delta._doc_names  # noqa: SLF001
         self._assignments = [
-            list(base_row) + list(delta_row)
+            base_row + delta_row
             for base_row, delta_row in zip(base._assignments, delta._assignments)  # noqa: SLF001
         ]
-        self._members = [
-            [
-                list(base_ids) + [offset + i for i in delta_ids]
-                for base_ids, delta_ids in zip(base_row, delta_row)
-            ]
-            for base_row, delta_row in zip(base._members, delta._members)  # noqa: SLF001
-        ]
-        self._mapped_bits = None
         self._base = base
         self._delta = delta
-        self._planes = [
-            (base._bit_cache[r], delta._bit_cache[r])  # noqa: SLF001
-            for r in range(base.repetitions)
-        ]
+        self._plane_pairs = list(zip(base._bit_cache, delta_planes))  # noqa: SLF001
         self._invalidate_caches()
+
+    @cached_property
+    def _doc_ids(self) -> Dict[str, int]:  # type: ignore[override]
+        return {name: i for i, name in enumerate(self._doc_names)}
+
+    @cached_property
+    def _members(self) -> List[List[List[int]]]:  # type: ignore[override]
+        return members_from_assignments(self._assignments, self.num_partitions)
 
     # -- the one behavioural override: plane pairs in the bit cache --------------------
 
@@ -112,7 +140,7 @@ class DeltaOverlayIndex(Rambo):
         # Each cache entry is a (base_plane, delta_plane) pair;
         # probe_words_batch ORs the gathered bytes of the two planes, which
         # equals probing the OR-merged plane — the from-scratch index's bits.
-        return list(self._planes)
+        return list(self._plane_pairs)
 
     # -- immutability ------------------------------------------------------------------
 
@@ -144,6 +172,12 @@ class DeltaOverlayIndex(Rambo):
             "compact base+delta into a snapshot"
         )
 
+    def _plane(self, repetition: int):
+        raise ValueError(
+            "a delta overlay holds no plane of its own to merge or save; "
+            "compact base+delta into a snapshot"
+        )
+
     # -- accounting (delegates to the two parts) ---------------------------------------
 
     @property
@@ -153,7 +187,7 @@ class DeltaOverlayIndex(Rambo):
 
     @property
     def delta(self) -> Rambo:
-        """The in-memory delta under this view (documents appended since)."""
+        """The delta index this view was published from (it may have grown since)."""
         return self._delta
 
     @property
@@ -178,7 +212,7 @@ class DeltaOverlayIndex(Rambo):
         """Fill of the *effective* (ORed) planes — what queries actually probe."""
         bits = self.config.bfu_bits
         ratios: List[List[float]] = []
-        for base_plane, delta_plane in self._planes:
+        for base_plane, delta_plane in self._plane_pairs:
             combined = np.bitwise_or(
                 np.asarray(base_plane), np.asarray(delta_plane)
             )
@@ -193,3 +227,169 @@ class DeltaOverlayIndex(Rambo):
             f"base_documents={len(self._base._doc_names)}, "  # noqa: SLF001
             f"delta_documents={self.num_delta_documents})"
         )
+
+
+@dataclass(eq=False)
+class _FrozenPlanes:
+    """One frozen copy of the delta planes and how far it has caught up."""
+
+    planes: List[np.ndarray]
+    #: Delta documents whose bits these planes hold (a prefix of the delta).
+    documents: int = 0
+    #: The snapshot whose overlay probes these planes; None while unknown.
+    snapshot: Optional[object] = None
+
+    @property
+    def drained(self) -> bool:
+        return self.snapshot is not None and self.snapshot.drained
+
+
+class LiveDelta:
+    """The live delta of an ingesting node — the one owner both engines drive.
+
+    Holds the documents appended since the serving base was cut, as an
+    ordinary writable :class:`Rambo` over one ``(B, words)`` plane per
+    repetition (:meth:`Rambo._from_planes`), and publishes them.  The
+    publish dataflow, whose cost follows the batch and not the index::
+
+        live planes --rows the batch touched--> drained frozen set
+                    --> DeltaOverlayIndex(base, delta, frozen) --> service.swap
+
+    Served overlays never probe the live planes: an insert would change
+    bits under a reader that leased an earlier acknowledged prefix (and,
+    under group commit, show bits not yet fsynced).  They probe a *frozen
+    plane set* from a small pool instead.  A set remembers how many delta
+    documents it reflects, so the delta's own assignment lists are its
+    dirty log: catching up copies rows ``(r, assignment_r[d])`` of the
+    documents ``d`` it has not seen — ``R`` rows per document.
+
+    **The lease invariant.**  A set is written again only once the
+    :class:`~repro.serve.snapshot.Snapshot` that published it has
+    ``drained``.  That is safe because every reader of a served index's
+    planes holds a :meth:`~repro.serve.snapshot.SnapshotManager.lease` for
+    as long as it reads (the service's resolver, ``query``,
+    ``query_direct``, ``resolve_backend`` and ``stats`` all do), no lease
+    can be taken on a retired snapshot, and a drained snapshot drops its
+    index.  Code that keeps a served overlay *without* a lease may see its
+    delta bits advance after later appends.  When no set has drained — a
+    cold start, or a reader still holding an older lease — the publish
+    falls back to a full copy, and drained extras are dropped on reuse, so
+    the pool stays at two or three sets.
+
+    Not thread-safe: the owning engine calls every method under its ingest
+    lock, in WAL fsync -> :meth:`absorb` -> :meth:`publish` order.
+    """
+
+    def __init__(self, config: RamboConfig) -> None:
+        self._config = config
+        self.reset()
+
+    def reset(self) -> None:
+        """Start over with an empty delta.
+
+        Called once the delta has been folded into a new base (compaction)
+        or its base replaced (standby re-sync).  The frozen sets are
+        abandoned to whatever overlays still drain on them.
+        """
+        config = self._config
+        planes = [
+            np.zeros((config.num_partitions, config.words_per_bfu), dtype=np.uint64)
+            for _ in range(config.repetitions)
+        ]
+        assignments: List[List[int]] = [[] for _ in planes]
+        self._index = Rambo._from_planes(  # noqa: SLF001
+            config,
+            planes,
+            [],
+            assignments,
+            members_from_assignments(assignments, config.num_partitions),
+        )
+        self._frozen: List[_FrozenPlanes] = []
+
+    # -- state -------------------------------------------------------------------------
+
+    @property
+    def num_documents(self) -> int:
+        """Documents absorbed since the last :meth:`reset`."""
+        return len(self._index._doc_names)  # noqa: SLF001
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._index
+
+    def size_in_bytes(self) -> int:
+        """Size of the live delta index (planes + bookkeeping)."""
+        return self._index.size_in_bytes()
+
+    # -- the write path ----------------------------------------------------------------
+
+    def absorb(self, documents: Iterable[KmerDocument]) -> None:
+        """Insert an acknowledged (or group-buffered) batch into the live planes.
+
+        Strict: a name already in the delta raises, as in
+        :meth:`Rambo.add_documents` — the engine validated the batch before
+        it wrote the WAL.
+        """
+        self._index.add_documents(documents)
+
+    def absorb_fresh(self, documents: Iterable[KmerDocument], base: Rambo) -> int:
+        """Replay *documents*, skipping those already held; returns how many were new.
+
+        The WAL-replay form of :meth:`absorb`: a document already in *base*
+        (compaction raced a crash), already in the delta, or named earlier
+        in the same batch (a client retried an unacknowledged append) is a
+        no-op, so replay is idempotent and duplicate data never fails a
+        recovery or a standby's apply.
+        """
+        fresh: List[KmerDocument] = []
+        names = set()
+        for doc in documents:
+            if doc.name in base or doc.name in self._index or doc.name in names:
+                continue
+            names.add(doc.name)
+            fresh.append(doc)
+        self._index.add_documents(fresh)
+        return len(fresh)
+
+    def merged_with(self, base: Rambo) -> Rambo:
+        """``base`` with the delta folded in (compaction's new generation)."""
+        return merge_indexes((base, self._index))
+
+    def publish(self, service, base: Rambo, base_path):
+        """Serve ``base`` + everything absorbed from now on.
+
+        Returns the new :class:`~repro.serve.snapshot.Snapshot`.  An empty
+        delta serves the bare base.  Otherwise a frozen set is brought up to
+        date (:meth:`_freeze`) and swapped in under a fresh overlay; queries
+        in flight drain on the snapshot they leased.
+        """
+        if not self.num_documents:
+            return service.swap(base, base_path)
+        frozen = self._freeze()
+        views = [plane.view() for plane in frozen.planes]
+        for view in views:
+            view.flags.writeable = False
+        overlay = DeltaOverlayIndex(base, self._index, views)
+        # Should the swap raise half-way, readers may already hold the
+        # overlay: a set with no snapshot is never reused.
+        frozen.snapshot = None
+        frozen.snapshot = service.swap(overlay, base_path)
+        return frozen.snapshot
+
+    def _freeze(self) -> _FrozenPlanes:
+        """A frozen plane set holding exactly the live delta's bits."""
+        live = self._index
+        drained = [frozen for frozen in self._frozen if frozen.drained]
+        if drained:
+            frozen = max(drained, key=lambda candidate: candidate.documents)
+            self._frozen = [
+                other for other in self._frozen if other is frozen or other not in drained
+            ]
+            for r, plane in enumerate(frozen.planes):
+                unseen = live._assignments[r][frozen.documents :]  # noqa: SLF001
+                for b in set(unseen):
+                    plane[b] = live._planes[r][b]  # noqa: SLF001
+        else:
+            frozen = _FrozenPlanes([plane.copy() for plane in live._planes])  # noqa: SLF001
+            self._frozen.append(frozen)
+        frozen.documents = self.num_documents
+        return frozen

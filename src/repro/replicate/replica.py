@@ -36,13 +36,12 @@ import zlib
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.rambo import Rambo
 from repro.ingest.engine import (
     DEFAULT_WAL_SEGMENT_BYTES,
     MANIFEST_NAME,
     _env_int,
 )
-from repro.ingest.overlay import DeltaOverlayIndex
+from repro.ingest.overlay import LiveDelta
 from repro.io.walformat import (
     _RECORD_PREFIX,
     SegmentedWalWriter,
@@ -188,7 +187,7 @@ class ReplicaEngine:
         active = service.snapshots.active
         self._base = active.index
         self._base_path = active.path
-        self._delta = Rambo(self._base.config)
+        self._delta = LiveDelta(self._base.config)
         self.replayed_documents = 0
         self.torn_bytes_truncated = 0
         # Resume after a standby crash: replay whatever this node durably
@@ -201,16 +200,9 @@ class ReplicaEngine:
         if replay is not None:
             self.torn_bytes_truncated = truncate_torn_generation(replay)
             segments = replay.segments
-            fresh: List[KmerDocument] = []
-            seen = set()
-            for doc in replay.documents:
-                if doc.name in self._base._doc_ids or doc.name in seen:  # noqa: SLF001
-                    continue
-                seen.add(doc.name)
-                fresh.append(doc)
-            self.replayed_documents = len(fresh)
-            if fresh:
-                self._delta.add_documents(fresh)
+            self.replayed_documents = self._delta.absorb_fresh(
+                replay.documents, self._base
+            )
         self._wal = SegmentedWalWriter(
             self.wal_dir,
             self._base.config,
@@ -222,7 +214,7 @@ class ReplicaEngine:
         self.applied = self._wal.committed_records
         self.primary_records = self.applied
         if self._delta.num_documents:
-            self._publish_overlay()
+            self._delta.publish(self.service, self._base, self._base_path)
         self.ready = False
         self.last_error: Optional[str] = None
         self.reconnects = 0
@@ -300,13 +292,6 @@ class ReplicaEngine:
 
     # -- the apply path ----------------------------------------------------------------
 
-    def _publish_overlay(self):
-        if self._delta.num_documents:
-            index = DeltaOverlayIndex(self._base, self._delta)
-        else:
-            index = self._base
-        return self.service.swap(index, self._base_path)
-
     def _apply(self, documents: List[KmerDocument]) -> None:
         """Durably apply one streamed batch: local WAL fsync first, then
         delta + overlay, then the cursor advance the next ack reports."""
@@ -314,15 +299,8 @@ class ReplicaEngine:
             if self._promoted is not None:
                 return
             self._wal.append(documents)
-            fresh = [
-                doc
-                for doc in documents
-                if doc.name not in self._base._doc_ids  # noqa: SLF001
-                and doc.name not in self._delta._doc_ids  # noqa: SLF001
-            ]
-            if fresh:
-                self._delta.add_documents(fresh)
-            self._publish_overlay()
+            self._delta.absorb_fresh(documents, self._base)
+            self._delta.publish(self.service, self._base, self._base_path)
             self.applied = self._wal.committed_records
             self.primary_records = max(self.primary_records, self.applied)
             self.applied_batches += 1
@@ -477,7 +455,7 @@ class ReplicaEngine:
             self.generation = fetched_generation
             self._base = rotated.index
             self._base_path = rotated.path
-            self._delta = Rambo(self._base.config)
+            self._delta.reset()
             self._wal = SegmentedWalWriter(
                 self.wal_dir,
                 self._base.config,
@@ -665,6 +643,9 @@ class ReplicaEngine:
             engine = IngestEngine(self.service, self.wal_dir, **kwargs)
             self.service.attach_ingest(engine)
             self._promoted = engine
+            # The engine replayed the WAL into a delta of its own; let go of
+            # this one's planes.
+            self._delta.reset()
             return engine
 
     def close(self) -> None:

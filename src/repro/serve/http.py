@@ -189,7 +189,7 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         elif self.path == "/promote":
             self._handle_promote()
         else:
-            self._send_error_json(f"unknown endpoint {self.path!r}", 404)
+            self._refuse_unread(f"unknown endpoint {self.path!r}", 404)
 
     def _handle_healthz(self) -> None:
         """Readiness detail; 503 until the node can serve consistent answers.
@@ -298,6 +298,14 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             )
         if not isinstance(terms, list) or not terms:
             raise ValueError(f"document {name!r}: 'terms' must be a non-empty list")
+        if set(map(type, terms)) == {int}:
+            # Plain int codes pass normalise_query_term unchanged: one numpy
+            # pass.  A negative or >= 2**64 code falls through to the
+            # per-term path, which owns every error.
+            try:
+                return KmerDocument(name, np.asarray(terms, dtype=np.uint64))
+            except OverflowError:
+                pass
         if not all(isinstance(term, (int, str)) for term in terms):
             raise ValueError(f"document {name!r}: terms must be integers or strings")
         normalised = [normalise_query_term(term, k, canonical=canonical) for term in terms]
@@ -306,20 +314,21 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         return KmerDocument(name, frozenset(normalised), source_format="text")
 
     def _writable_ingest(self):
-        """The attached ingest engine, or ``None`` after sending the error.
+        """The attached ingest engine, or ``None`` after refusing the request.
 
-        A replica answers 503 (not 400): the request is valid, this node
+        Call it before reading the body (the refusal discards it).  A
+        replica answers 503 (not 400): the request is valid, this node
         just cannot take it — a :class:`~repro.serve.client.FailoverClient`
         rotates to the primary on that signal.
         """
         service = self.server.service
         if service.ingest is None:
-            self._send_error_json(
+            self._refuse_unread(
                 "streaming ingest is not enabled; restart the server with --wal", 400
             )
             return None
         if getattr(service.ingest, "role", "primary") == "replica":
-            self._send_error_json(
+            self._refuse_unread(
                 "this node is a read-only replica; retry on the primary "
                 "(or POST /promote here first)",
                 503,
@@ -388,12 +397,19 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             remaining -= len(chunk)
         return True
 
+    def _refuse_unread(self, message: str, status: int) -> None:
+        """Answer an error to a request whose body nobody has read.
+
+        The body goes first: left on a keep-alive connection, it is what
+        the next request would be parsed from.
+        """
+        if self._drain_body():
+            self._send_error_json(message, status)
+
     def _handle_compact(self) -> None:
-        # /compact takes no parameters, so an empty body is legal.
-        if not self._drain_body():
-            return
         ingest = self._writable_ingest()
-        if ingest is None:
+        # /compact takes no parameters, so an empty body is legal.
+        if ingest is None or not self._drain_body():
             return
         try:
             record = ingest.compact()
@@ -543,7 +559,7 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         service = self.server.service
         replication = getattr(service.ingest, "replication", None)
         if replication is None:
-            self._send_error_json(
+            self._refuse_unread(
                 "this node accepts no replication acks (not a primary)", 400
             )
             return

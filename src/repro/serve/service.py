@@ -101,8 +101,8 @@ class QueryService:
         self.coalescer = RequestCoalescer(self._resolve, tick_seconds=tick_seconds)
         self.ingest = None
         #: Metadata sidecar and calibrated cost model travelling with the
-        #: served artifact; reloaded on every rotation (see
-        #: :meth:`_reload_artifacts`).
+        #: served artifact; reloaded on every rotation and on a swap to a
+        #: new path (see :meth:`_reload_artifacts`).
         self.metadata = None
         self.cost_model = None
         self._plan_counters: Dict[str, object] = {
@@ -131,9 +131,9 @@ class QueryService:
         """Pick up the sidecar artifacts of the index at *path*.
 
         The metadata sidecar and the calibrated cost model are files next
-        to the index artifact, so they rotate with it: a ``swap``/``rotate``
-        to a new path re-resolves both (and drops them when the new artifact
-        has none — stale filters would be silently wrong).
+        to the index artifact, so they rotate with it: a ``rotate``, or a
+        ``swap`` to a new path, re-resolves both (and drops them when the
+        new artifact has none — stale filters would be silently wrong).
         """
         from repro.meta import load_sidecar_for
         from repro.plan.cost import CostModel
@@ -319,13 +319,22 @@ class QueryService:
     # -- rotation -----------------------------------------------------------------------
 
     def swap(self, index: Rambo, path: Optional[PathLike] = None) -> Snapshot:
-        """Atomically serve *index* from now on (see :meth:`SnapshotManager.swap`)."""
+        """Atomically serve *index* from now on (see :meth:`SnapshotManager.swap`).
+
+        The sidecar artifacts are re-resolved only when *path* differs from
+        the retiring snapshot's: an ingest publish re-serves the same base
+        file per append and must not probe the filesystem each time.  To
+        pick up artifacts rewritten in place, :meth:`rotate` to the path.
+        """
+        previous = self.snapshots.active.path
         snapshot = self.snapshots.swap(index, path)
-        self._reload_artifacts(path)
+        if snapshot.path != previous:
+            self._reload_artifacts(path)
         return snapshot
 
     def rotate(self, path: PathLike, mode: str = "r") -> Snapshot:
-        """Open the index file at *path* and swap it in atomically."""
+        """Open the index file at *path* and swap it in atomically; its
+        sidecar artifacts are always reloaded."""
         snapshot = self.snapshots.rotate_from(path, mode=mode)
         self._reload_artifacts(path)
         return snapshot

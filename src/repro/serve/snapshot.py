@@ -44,6 +44,15 @@ class Snapshot:
     them from :meth:`SnapshotManager.lease` / ``.active`` and treats them as
     read-only.  The wrapped index's lazy query caches are primed eagerly so
     concurrent readers never race on their construction.
+
+    **Read ``index`` under a lease.**  ``drained`` turns true (once, under
+    the manager's lock) when a retired snapshot's last lease is released,
+    and ``index`` is dropped right after.  Whoever published the index may
+    rely on that: the ingest side rewrites the memory a drained snapshot's
+    delta overlay probed (:class:`repro.ingest.overlay.LiveDelta`).  A
+    reader that keeps ``snapshot.index`` past its lease — or takes it from
+    ``SnapshotManager.active`` without one and keeps it across a swap — is
+    outside the snapshot contract.
     """
 
     def __init__(self, snapshot_id: int, index: Rambo, path: Optional[PathLike] = None) -> None:

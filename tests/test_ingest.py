@@ -28,7 +28,10 @@ import struct
 import tempfile
 import threading
 import time
+import tracemalloc
+import types
 import zlib
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +40,11 @@ from hypothesis import given, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from hypothesis_profiles import tier
+from repro.core.parallel import merge_indexes
 from repro.core.rambo import Rambo, RamboConfig
 from repro.core.serialization import save_index
 from repro.ingest import DeltaOverlayIndex, IngestEngine
+from repro.ingest import engine as engine_module
 from repro.io.walformat import (
     WalFormatError,
     WalWriter,
@@ -67,6 +72,15 @@ TERM_UNIVERSE = 64
 
 def make_doc(name: str, terms) -> KmerDocument:
     return KmerDocument(name, np.asarray(sorted(set(terms)), dtype=np.uint64))
+
+
+def _wait_for(predicate, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.005)
+    return True
 
 
 def build_reference(config: RamboConfig, documents) -> Rambo:
@@ -285,6 +299,14 @@ class TestDeltaOverlayIdentity:
         assert overlay.num_documents == reference.num_documents
         assert overlay.num_delta_documents == len(documents) - cut
         assert_identical(overlay, reference, range(TERM_UNIVERSE))
+        # The bookkeeping no query reads is derived on first use — to the
+        # rebuild's values.
+        assert overlay.document_names == reference.document_names
+        assert all(name in overlay for name in reference.document_names)
+        assert "never-indexed" not in overlay
+        for r in range(TINY_CONFIG.repetitions):
+            for b in range(TINY_CONFIG.num_partitions):
+                assert overlay.partition_members(r, b) == reference.partition_members(r, b)
 
     def test_mixed_bit_false_positives_are_reproduced(self):
         """The saturated regime: the overlay must reproduce even the combined
@@ -319,6 +341,22 @@ class TestDeltaOverlayIdentity:
         delta.add_documents([make_doc("n1", [12, 13])])  # mutate AFTER capture
         assert fingerprint(overlay, range(TERM_UNIVERSE), "full") == before
         assert overlay.num_documents == 2
+
+    def test_overlay_copies_a_delta_over_writable_planes(self):
+        """A merged index's BFUs are row views of its planes, so stacking
+        them aliases live memory: the two-argument form must copy."""
+        base = build_reference(CONFIG, [make_doc("b0", [1, 2, 3])])
+        delta = merge_indexes((build_reference(CONFIG, [make_doc("n0", [10, 11])]),))
+        assert not delta.is_mapped and not delta.readonly
+        overlay = DeltaOverlayIndex(base, delta)
+        before = fingerprint(overlay, range(TERM_UNIVERSE), "full")
+        delta.add_documents([make_doc("n1", [12, 13])])
+        assert fingerprint(overlay, range(TERM_UNIVERSE), "full") == before
+        reference = build_reference(
+            CONFIG,
+            [make_doc("b0", [1, 2, 3]), make_doc("n0", [10, 11]), make_doc("n1", [12, 13])],
+        )
+        assert_identical(DeltaOverlayIndex(base, delta), reference, range(TERM_UNIVERSE))
 
     def test_overlay_rejects_mutation(self):
         base = build_reference(CONFIG, [make_doc("b0", [1])])
@@ -604,6 +642,131 @@ class TestIngestEngine:
         assert record["ingest"]["generation"] == 0
 
 
+class TestPublishCost:
+    """An append's publish touches the rows of its documents, not the delta."""
+
+    #: 2 x 16 BFUs of 128 KiB: a 4 MiB delta, small enough to build per test.
+    BIG = RamboConfig(num_partitions=16, repetitions=2, bfu_bits=1 << 20, k=9, seed=11)
+
+    @pytest.fixture()
+    def big_stack(self, tmp_path):
+        base_docs = [make_doc("base0", [1, 2, 3])]
+        save_index(build_reference(self.BIG, base_docs), tmp_path / "base.rambo2", format="mmap")
+        with QueryService.open(tmp_path / "base.rambo2", tick_seconds=0.0) as service:
+            engine = IngestEngine(service, tmp_path / "wal", fsync=False)
+            service.attach_ingest(engine)
+            yield service, engine, base_docs
+
+    @staticmethod
+    def served_delta_planes(service):
+        return [delta for _base, delta in service.snapshots.active.index._stacked_planes()]
+
+    def test_publish_reuses_a_drained_plane_set(self, big_stack):
+        service, engine, base_docs = big_stack
+        docs = [make_doc(f"n{i}", [10 + i, 40 + i]) for i in range(5)]
+        served = []
+        for doc in docs:
+            engine.append([doc])
+            served.append(self.served_delta_planes(service))
+        # Cold start and the publish after it each needed a full copy (the
+        # first set was still being served); from then on the two alternate.
+        for r in range(self.BIG.repetitions):
+            assert not np.shares_memory(served[0][r], served[1][r])
+            assert np.shares_memory(served[2][r], served[0][r])
+            assert np.shares_memory(served[3][r], served[1][r])
+            assert np.shares_memory(served[4][r], served[0][r])
+            assert not served[4][r].flags.writeable
+        reference = build_reference(self.BIG, base_docs + docs)
+        assert_identical(service.snapshots.active.index, reference, range(TERM_UNIVERSE))
+
+    def test_a_leased_overlay_keeps_its_planes_while_appends_go_on(self, big_stack):
+        service, engine, base_docs = big_stack
+        docs = [make_doc(f"n{i}", [10 + i, 40 + i]) for i in range(6)]
+        engine.append(docs[:2])
+        with service.snapshots.lease() as leased:
+            planes = self.served_delta_planes(service)
+            frozen = [plane.copy() for plane in planes]
+            for doc in docs[2:]:
+                engine.append([doc])  # none may land in the leased set
+            for plane, copy in zip(planes, frozen):
+                assert np.array_equal(plane, copy)
+            assert_identical(
+                leased.index,
+                build_reference(self.BIG, base_docs + docs[:2]),
+                range(TERM_UNIVERSE),
+            )
+        assert leased.drained and leased.index is None
+        reference = build_reference(self.BIG, base_docs + docs)
+        assert_identical(service.snapshots.active.index, reference, range(TERM_UNIVERSE))
+
+    def test_one_append_allocates_far_less_than_the_delta(self, big_stack):
+        """The deterministic guard against restacking the delta per append."""
+        service, engine, _ = big_stack
+        for i in range(3):  # warm-up: both plane sets exist
+            engine.append([make_doc(f"w{i}", [i, i + 7])])
+        assert sum(plane.nbytes for plane in self.served_delta_planes(service)) >= 4 << 20
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            engine.append([make_doc("measured", [50, 51, 52])])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1 << 20
+
+
+class _Code(int):
+    """An int the packed parse does not recognise (``type`` is not ``int``)."""
+
+
+class TestAppendDocumentParsing:
+    """``POST /append`` packs a plain-int term list in one numpy pass; every
+    other shape — and every error — belongs to the per-term path."""
+
+    TERM_LISTS = {
+        "ints": [0, 1, 5, (1 << 63) + 17, (1 << 64) - 1, 5],
+        "one-int": [77],
+        "bools": [True, 7, False],
+        "floats": [1.5, 2],
+        "dna-words": ["ACGTACGTA", "TTTTTTTTT"],
+        "str-among-ints": [4, "hello", 4],
+        "none-among-ints": [4, None],
+        "negative": [3, -5, 9],
+        "too-wide": [3, 1 << 64],
+    }
+
+    @staticmethod
+    def outcome(terms):
+        from repro.serve.http import ServeRequestHandler
+
+        try:
+            doc = ServeRequestHandler._parse_append_document(
+                None, {"name": "d", "terms": terms}, CONFIG.k, False, 1
+            )
+        except (ValueError, OverflowError) as exc:
+            return type(exc), str(exc)
+        codes = doc.term_codes()
+        return doc.name, doc.source_format, doc.terms, None if codes is None else codes.tolist()
+
+    @pytest.mark.parametrize("name", sorted(TERM_LISTS))
+    def test_packed_parse_equals_the_per_term_parse(self, name):
+        terms = self.TERM_LISTS[name]
+        per_term = [_Code(term) if type(term) is int else term for term in terms]
+        assert self.outcome(terms) == self.outcome(per_term)
+
+    def test_the_outcomes_are_the_documented_ones(self):
+        assert self.outcome(self.TERM_LISTS["ints"])[3] == [0, 1, 5, (1 << 63) + 17, (1 << 64) - 1]
+        assert self.outcome(self.TERM_LISTS["bools"])[3] == [0, 1, 7]
+        assert self.outcome(self.TERM_LISTS["str-among-ints"])[1:3] == ("text", {4, "hello"})
+        assert self.outcome(self.TERM_LISTS["floats"]) == (
+            ValueError,
+            "document 'd': terms must be integers or strings",
+        )
+        assert self.outcome(self.TERM_LISTS["negative"])[0] is OverflowError
+        assert self.outcome(self.TERM_LISTS["too-wide"])[0] is OverflowError
+
+
 class TestIngestHTTP:
     @pytest.fixture()
     def ingest_server(self, ingest_stack):
@@ -784,6 +947,49 @@ class TestGroupCommit:
         assert engine.stats()["wal"]["replayed_documents"] == batches
         assert_identical(ingest_stack.served_index(), reference, range(TERM_UNIVERSE))
 
+    def test_a_commit_group_is_invisible_until_its_fsync_then_one_overlay(
+        self, ingest_stack, monkeypatch
+    ):
+        engine = ingest_stack.restart(group_commit_ms=1.0)
+        service = ingest_stack.service
+        # The leader's commit-window sleep becomes a gate the test opens.
+        gate = threading.Event()
+        monkeypatch.setattr(
+            engine_module,
+            "time",
+            types.SimpleNamespace(
+                sleep=lambda _seconds: gate.wait(30), perf_counter=time.perf_counter
+            ),
+        )
+        docs = [make_doc(f"g{i}", [i, i + 30]) for i in range(4)]
+        before = service.snapshots.active
+        syncs = engine.stats()["wal"]["syncs"]
+        threads = [threading.Thread(target=engine.append, args=([doc],)) for doc in docs]
+        for thread in threads:
+            thread.start()
+        try:
+            # All four batches are buffered and absorbed into the live delta ...
+            assert _wait_for(lambda: engine.stats()["appends"]["batches"] == len(docs))
+            # ... and none is durable, acknowledged or served.
+            assert engine.stats()["wal"]["syncs"] == syncs
+            assert all(thread.is_alive() for thread in threads)
+            assert service.snapshots.active is before
+            assert_identical(
+                before.index,
+                build_reference(CONFIG, ingest_stack.base_docs),
+                range(TERM_UNIVERSE),
+            )
+        finally:
+            gate.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        # One shared fsync, one overlay covering the whole group.
+        assert engine.stats()["wal"]["syncs"] == syncs + 1
+        assert service.snapshots.active.snapshot_id == before.snapshot_id + 1
+        reference = build_reference(CONFIG, ingest_stack.base_docs + docs)
+        assert_identical(ingest_stack.served_index(), reference, range(TERM_UNIVERSE))
+
     def test_zero_window_keeps_per_batch_fsync_behaviour(self, ingest_stack):
         engine = ingest_stack.engine  # default: group_commit_ms=0
         assert engine.stats()["wal"]["group_commit_ms"] == 0.0
@@ -815,7 +1021,9 @@ class IngestConsistencyMachine(RuleBasedStateMachine):
     The model is the list of *acknowledged* documents (base + every batch
     whose ``append`` returned).  After every rule the served index must be
     bit-identical — documents and probe counts, full and sparse — to a
-    from-scratch build of exactly that list.  Crashes are injected as a
+    from-scratch build of exactly that list, and so must every snapshot a
+    reader still holds a lease on, to the list *as it was when leased*
+    (publishing reuses bit planes; it may only ever reuse drained ones).  Crashes are injected as a
     strict prefix of an un-acknowledged record at the WAL tail: fsynced
     acknowledged records can never be lost (that is the durability
     contract), while an unacknowledged write may tear anywhere.
@@ -831,6 +1039,9 @@ class IngestConsistencyMachine(RuleBasedStateMachine):
         self.wal_dir = self.tmp / "wal"
         self.acked = list(self.base_docs)
         self.counter = 0
+        #: Open leases: (the lease, its snapshot, a rebuild of the documents
+        #: acknowledged when it was taken).
+        self.held = []
         self._open()
 
     def _open(self):
@@ -881,6 +1092,22 @@ class IngestConsistencyMachine(RuleBasedStateMachine):
         self._open()
         assert self.engine.stats()["wal"]["torn_bytes_truncated"] == keep
 
+    @rule()
+    def hold_lease(self):
+        """A reader that keeps answering from the prefix it leased — across
+        later appends, compactions, crashes and restarts of the engine."""
+        if len(self.held) == 3:
+            self.release_lease(0)
+        lease = ExitStack()
+        snapshot = lease.enter_context(self.service.snapshots.lease())
+        self.held.append((lease, snapshot, build_reference(CONFIG, self.acked)))
+
+    @rule(which=st.integers(min_value=0, max_value=2))
+    def release_lease(self, which):
+        if self.held:
+            lease, _, _ = self.held.pop(which % len(self.held))
+            lease.close()
+
     @invariant()
     def served_equals_rebuild(self):
         reference = build_reference(CONFIG, self.acked)
@@ -888,7 +1115,16 @@ class IngestConsistencyMachine(RuleBasedStateMachine):
         assert served.num_documents == len(self.acked)
         assert_identical(served, reference, range(TERM_UNIVERSE))
 
+    @invariant()
+    def held_leases_still_answer_their_prefix(self):
+        for _, snapshot, reference in self.held:
+            assert snapshot.index is not None
+            assert snapshot.index.num_documents == reference.num_documents
+            assert_identical(snapshot.index, reference, range(TERM_UNIVERSE))
+
     def teardown(self):
+        for lease, _, _ in self.held:
+            lease.close()
         self._close()
         shutil.rmtree(self.tmp, ignore_errors=True)
 

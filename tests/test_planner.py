@@ -481,6 +481,34 @@ class TestServedPlanning:
             with pytest.raises(ValueError, match="no metadata sidecar"):
                 service.query_planned([1], filters={"collection": "ena"})
 
+    def test_swap_reloads_the_artifacts_only_for_a_new_path(self, tmp_path, monkeypatch):
+        index, _, service = _served_setup(tmp_path)
+        served = tmp_path / "served.rambo2"
+        bare = tmp_path / "bare.rambo2"
+        save_index(index, bare, format="mmap")  # no sidecar beside this one
+        with service:
+            reloads = []
+            reload_artifacts = service._reload_artifacts
+            monkeypatch.setattr(
+                service,
+                "_reload_artifacts",
+                lambda path: (reloads.append(str(path)), reload_artifacts(path))[1],
+            )
+            # An ingest publish: the same base path again — nothing to probe.
+            service.swap(index, served)
+            assert reloads == [] and len(service.metadata) == index.num_documents
+            # A new path drops the sidecar it does not have ...
+            service.swap(index, bare)
+            assert reloads == [str(bare)] and service.metadata is None
+            with pytest.raises(ValueError, match="no metadata sidecar"):
+                service.query_planned([1], filters={"collection": "ena"})
+            # ... and the old one picks it up again.
+            service.swap(index, served)
+            assert len(service.metadata) == index.num_documents
+            # rotate always reloads, also in place (a rewritten cost model).
+            service.rotate(served)
+            assert reloads == [str(bare), str(served), str(served)]
+
     def test_http_roundtrip_is_bit_identical_to_local_filtering(self, tmp_path):
         index, meta, service = _served_setup(tmp_path)
         server, thread = start_http_server(service)

@@ -41,6 +41,7 @@ from repro.core.rambo import Rambo, RamboConfig
 from repro.core.serialization import save_index
 from repro.ingest import IngestEngine
 from repro.ingest.engine import ReplicationLagError
+from repro.ingest.overlay import LiveDelta
 from repro.io.walformat import _RECORD_PREFIX, decode_document, replay_wal_generation
 from repro.kmers.extraction import KmerDocument
 from repro.replicate import GenerationChanged, ReplicaEngine
@@ -349,6 +350,24 @@ class TestReplicaEngine:
         # The standby's lease is registered on the primary.
         peers = cluster.primary.stats()["replication"]["peers"]
         assert peers["standby-a"]["live"] is True
+
+    def test_standby_applying_batch_by_batch_serves_what_its_primary_serves(self, cluster):
+        """Both engines publish through the one delta owner: N streamed
+        batches, each applied and published on its own (cold start, full
+        copy, then plane-set reuse), leave the standby's served index
+        bit-identical to the primary's — not only to a rebuild."""
+        replica = cluster.start_standby()
+        assert type(replica._delta) is type(cluster.primary._delta) is LiveDelta
+        batches = 6
+        for i in range(batches):
+            cluster.append(cluster.fresh_docs(2, 10 * i))
+            cluster.wait_caught_up()
+        assert replica.stats()["replication"]["applied_batches"] == batches
+        standby = cluster.standby_service.snapshots.active.index
+        primary = cluster.primary_service.snapshots.active.index
+        assert standby.document_names == primary.document_names
+        assert_identical(standby, primary, range(TERM_UNIVERSE))
+        cluster.assert_node_identical(cluster.standby_service)
 
     def test_standby_refuses_writes_with_a_503(self, cluster):
         cluster.start_standby()

@@ -620,7 +620,10 @@ class TestHTTPServer:
 
 
 class _NotReadyIngest:
-    """The least an attached engine needs for ``/healthz`` to answer 503."""
+    """The least an attached engine needs for ``/healthz`` to answer 503
+    and for writes to be refused as on a standby."""
+
+    role = "replica"
 
     def healthz(self):
         return {"role": "replica", "ready": False}
@@ -734,6 +737,42 @@ class TestTransport:
             response.begin()
             assert response.status == 200
             assert len(json.loads(response.read())["results"]) == 8
+
+    @pytest.mark.parametrize(
+        "path, standby, status, message",
+        [
+            ("/append", False, 400, "streaming ingest is not enabled"),
+            ("/append", True, 503, "read-only replica"),
+            ("/wal/ack", False, 400, "accepts no replication acks"),
+            ("/wal/ack", True, 400, "accepts no replication acks"),
+            ("/nope", False, 404, "unknown endpoint"),
+        ],
+    )
+    def test_a_refused_write_leaves_the_connection_framed(
+        self, server_port, path, standby, status, message
+    ):
+        """The refusal is decided before the body is parsed, so the body
+        must be discarded: unread, the next request on the connection is
+        parsed from the middle of it (the stdlib's HTML 400)."""
+        port, service = server_port
+        if standby:
+            service.attach_ingest(_NotReadyIngest())
+        body = json.dumps({"documents": [{"name": "d", "terms": list(range(4000))}]})
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            connection.request("POST", path, body=body)
+            sock = connection.sock
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == status and message in payload["error"]
+            assert response.getheader("Connection") != "close"
+            connection.request("POST", "/query", body=json.dumps({"terms": TERM_POOL[:8]}))
+            assert connection.sock is sock  # the same socket, not a reconnect
+            response = connection.getresponse()
+            assert response.status == 200
+            assert len(json.loads(response.read())["results"]) == 8
+        finally:
+            connection.close()
 
     @pytest.mark.parametrize("path", ["/query", "/compact", "/promote"])
     @pytest.mark.parametrize("declared", ["1e3", "abc", "-5", "+5", "1_0", "2 ", "\xb2"])
