@@ -144,7 +144,7 @@ def test_replicated_append_latency_overhead(replication_corpus, tmp_path):
         _assert_identity(service, acked, pool)
         # The standby converges to the same answers, bit for bit.
         deadline = time.monotonic() + 60.0
-        generation, committed = engine.replication.position()
+        generation, committed = engine.store.position()
         while time.monotonic() < deadline and not (
             replica.generation == generation and replica.applied >= committed
         ):

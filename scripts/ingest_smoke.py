@@ -37,7 +37,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core.rambo import Rambo, RamboConfig  # noqa: E402
 from repro.core.serialization import save_index  # noqa: E402
 from repro.io.mccortex import write_mccortex  # noqa: E402
-from repro.io.walformat import replay_wal  # noqa: E402
+from repro.io.walformat import replay_wal_generation  # noqa: E402
 from repro.kmers.extraction import KmerDocument  # noqa: E402
 from repro.serve.client import ServeClient, ServeClientError  # noqa: E402
 from repro.simulate.datasets import ENADatasetBuilder  # noqa: E402
@@ -154,7 +154,7 @@ def main() -> int:
         print(f"[ingest_smoke] killed -9 after {len(acked)} acknowledged documents")
 
         # -- phase 2: zero acknowledged-write loss ------------------------------------
-        replay = replay_wal(wal_dir / "wal-000000.log", expected_config=CONFIG)
+        replay = replay_wal_generation(wal_dir, 0, expected_config=CONFIG)
         durable = {doc.name for doc in replay.documents}
         lost = [doc.name for doc in acked if doc.name not in durable]
         if lost:

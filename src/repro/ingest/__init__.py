@@ -4,7 +4,7 @@ PRs 1–7 made the index fast to build, fast to query and rotatable while
 serving — but still build-then-frozen.  This package closes ROADMAP item 2:
 documents appended *while queries are in flight*, with the crash-safety of
 a write-ahead log and answers that stay bit-identical to a from-scratch
-build at every instant.  Four pieces, smallest first:
+build at every instant.  Five pieces, smallest first:
 
 * :mod:`repro.io.walformat` (lives beside the container format) — the
   length+CRC framed, fsync-on-commit WAL segment; replay tolerates the
@@ -22,24 +22,28 @@ build at every instant.  Four pieces, smallest first:
   path and publishes them by copying only the rows a batch touched into a
   drained frozen plane set — an append's cost follows its documents, not
   the size of the delta.
-* :class:`~repro.ingest.engine.IngestEngine` — the append/recover/compact
-  protocol: WAL fsync before acknowledgement, then absorb and publish
-  through the serving :class:`~repro.serve.snapshot.SnapshotManager`
-  (queries never block, in-flight batches drain on their own generation),
-  and a
+* :class:`~repro.ingest.store.GenerationStore` — the durable generation
+  directory (manifest, WAL segments, compacted snapshots) and its one
+  commit protocol: WAL fsync before absorb before publish, snapshot durable
+  before the atomically replaced manifest names it, recovery by replay.
+  The primary's engine and the standby's both drive it.
+* :class:`~repro.ingest.engine.IngestEngine` — the primary's policy on top:
+  validation, group commit, acknowledgement, and a
   :class:`~repro.ingest.engine.BackgroundCompactor` that folds the delta
-  into a fresh ``RAMBO2`` snapshot via ``merge_indexes``/``save_mmap``,
-  rotates it in, and truncates the WAL — crash-consistent at every step
-  via an atomically replaced manifest.
+  into a fresh ``RAMBO2`` snapshot via ``merge_indexes``/``save_mmap`` and
+  advances the store onto it (queries never block; in-flight batches drain
+  on their own generation).
 """
 
 from repro.ingest.engine import AppendResult, BackgroundCompactor, IngestEngine
 from repro.ingest.overlay import DeltaOverlayIndex, LiveDelta
+from repro.ingest.store import GenerationStore
 
 __all__ = [
     "AppendResult",
     "BackgroundCompactor",
     "DeltaOverlayIndex",
+    "GenerationStore",
     "IngestEngine",
     "LiveDelta",
 ]

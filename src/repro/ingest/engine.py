@@ -1,108 +1,36 @@
-"""The ingest engine: WAL-durable appends, recovery, background compaction.
+"""The ingest engine: validated, group-committed, WAL-durable appends.
 
-The append/compact/recover protocol, end to end (every step crash-safe):
+The durable state — manifest, WAL segments, compacted snapshots, the live
+delta — and the protocol that keeps it crash-safe belong to
+:class:`~repro.ingest.store.GenerationStore`; this module is the primary's
+policy on top of it (construction *is* the store's recovery).
 
-**Append** (:meth:`IngestEngine.append`) — under the ingest lock:
-
-1. validate the batch (duplicate names, bad term keys) *before* touching
-   any state;
-2. frame + fsync the batch into the current WAL segment — this is the
-   durability point; only now may the caller be acknowledged;
-3. absorb the batch into the live delta
-   (:class:`~repro.ingest.overlay.LiveDelta`, the one owner this engine and
-   the standby's :class:`~repro.replicate.replica.ReplicaEngine` both
-   drive) via the stock ``Rambo.add_documents`` bulk path;
-4. have it publish a fresh :class:`~repro.ingest.overlay.DeltaOverlayIndex`
-   through the service's :class:`~repro.serve.snapshot.SnapshotManager` —
-   the rows the batch touched are copied into a drained frozen plane set,
-   queries never block on ingest (the lock covers writers only), and
-   in-flight query batches drain against the overlay generation they
-   leased.
+**Append** (:meth:`IngestEngine.append`) — under the store's lock: validate
+the batch (duplicate names, bad term keys) *before* touching any state, then
+:meth:`~repro.ingest.store.GenerationStore.apply` it — WAL fsync (the
+durability point; only now may the caller be acknowledged), delta absorb,
+overlay publish.  Queries never block on ingest (the lock covers writers
+only); in-flight batches drain against the overlay they leased.
 
 **Compact** (:meth:`IngestEngine.compact`) — fold the delta into a new
 ``RAMBO2`` snapshot without ever serving an inconsistent state:
-
-1. ``LiveDelta.merged_with(base)`` (``merge_indexes``) — a raw bit-plane OR
-   plus re-based bookkeeping, bit-identical to a from-scratch build;
-2. write the merged snapshot to ``snapshot-<gen>.rambo2`` via a temp file +
-   ``os.replace`` + directory fsync (the file is complete or absent);
-3. create the empty ``wal-<gen>.log`` segment (header fsynced);
-4. atomically replace ``MANIFEST.json`` naming the new generation — **the
-   commit point**: a crash before this recovers the old generation plus its
-   intact WAL; a crash after recovers the new one;
-5. rotate the new mmap-opened snapshot in as the serving base (in-flight
-   overlay queries drain on their old snapshot) and delete the previous
-   generation's WAL and snapshot files.
-
-**Recover** (construction) — read the manifest (or adopt generation 0 over
-the service's opened index), rotate to the manifest's snapshot if needed,
-replay the WAL segment tolerating a torn tail (truncated durably), rebuild
-the delta from the replayed documents, and republish the overlay.  Replay
-skips documents already present in the base, so the protocol is idempotent
-across the one crash window where a batch is durable but unacknowledged.
+``LiveDelta.merged_with(base)`` (a raw bit-plane OR plus re-based
+bookkeeping, bit-identical to a from-scratch build), installed durably as
+the next generation's snapshot, then the store's ``advance()`` — the same
+commit a standby following this compaction ends in.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, Optional
 
-from repro.core.serialization import open_index, save_index
-from repro.ingest.overlay import LiveDelta
-from repro.io.walformat import (
-    SegmentedWalWriter,
-    _fsync_directory,
-    replay_wal_generation,
-    truncate_torn_generation,
-    validate_document,
-)
+from repro.core.serialization import save_index
+from repro.ingest.store import GenerationStore, PathLike, env_number
+from repro.io.walformat import validate_document
 from repro.kmers.extraction import KmerDocument
-
-PathLike = Union[str, Path]
-
-MANIFEST_NAME = "MANIFEST.json"
-
-#: Default delta size (documents) at which the background compactor fires.
-DEFAULT_AUTO_COMPACT_DOCS = 1024
-
-#: Default WAL segment roll size (bytes); override with REPRO_WAL_SEGMENT_BYTES.
-DEFAULT_WAL_SEGMENT_BYTES = 64 * 1024 * 1024
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from exc
-
-
-class ReplicationLagError(RuntimeError):
-    """A semi-synchronous append was durable locally but the configured
-    number of standbys did not acknowledge it within the ack timeout.
-
-    The write IS in the primary's WAL — on a retry the recovery dedup (by
-    document name) makes it a no-op — but the caller must treat its fate
-    as unknown until a node holding it answers.  Surfaced over HTTP as a
-    503 so :class:`~repro.serve.client.FailoverClient` retries it.
-    """
 
 
 @dataclass(frozen=True)
@@ -151,7 +79,7 @@ class IngestEngine:
         every append.
     replica_ack_timeout_s:
         How long a semi-sync append waits for the standby quorum before
-        raising :class:`ReplicationLagError`.
+        raising :class:`~repro.ingest.store.ReplicationLagError`.
     """
 
     #: Replication role — :class:`~repro.replicate.replica.ReplicaEngine`
@@ -170,19 +98,43 @@ class IngestEngine:
         replica_ack: int = 0,
         replica_ack_timeout_s: float = 30.0,
     ) -> None:
-        self.service = service
-        self.wal_dir = Path(wal_dir)
-        self.wal_dir.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.RLock()
-        self._fsync = fsync
+        store = GenerationStore(wal_dir, fsync=fsync, segment_bytes=segment_bytes)
+        store.recover(service)
+        self._drive(
+            store,
+            auto_compact_docs=auto_compact_docs,
+            group_commit_ms=group_commit_ms,
+            replica_ack=replica_ack,
+            replica_ack_timeout_s=replica_ack_timeout_s,
+        )
+
+    @classmethod
+    def adopt(cls, store: GenerationStore, **options) -> "IngestEngine":
+        """A primary over an already-recovered, live *store* — the role flip
+        of :meth:`ReplicaEngine.promote <repro.replicate.replica.ReplicaEngine.promote>`.
+
+        *options* are the constructor's ``auto_compact_docs``,
+        ``group_commit_ms``, ``replica_ack`` and ``replica_ack_timeout_s``.
+        Nothing is reopened or replayed: the store's open WAL, live delta
+        and published overlay simply get a writer in front of them.
+        """
+        engine = cls.__new__(cls)
+        engine._drive(store, **options)
+        return engine
+
+    def _drive(
+        self,
+        store: GenerationStore,
+        *,
+        auto_compact_docs: int = 0,
+        group_commit_ms: Optional[float] = None,
+        replica_ack: int = 0,
+        replica_ack_timeout_s: float = 30.0,
+    ) -> None:
+        self.store = store
         self._closed = False
-        if segment_bytes is None:
-            segment_bytes = _env_int(
-                "REPRO_WAL_SEGMENT_BYTES", DEFAULT_WAL_SEGMENT_BYTES
-            )
         if group_commit_ms is None:
-            group_commit_ms = _env_float("REPRO_GROUP_COMMIT_MS", 0.0)
-        self.segment_bytes = int(segment_bytes)
+            group_commit_ms = env_number("REPRO_GROUP_COMMIT_MS", 0.0, float)
         self.group_commit_ms = float(group_commit_ms)
         self._gc_cond = threading.Condition(threading.Lock())
         self._gc_leader_active = False
@@ -197,143 +149,21 @@ class IngestEngine:
         self.compactions = 0
         self.documents_compacted = 0
         self.last_compaction_seconds = 0.0
-        self.replayed_documents = 0
-        self.replay_skipped = 0
-        self.torn_bytes_truncated = 0
-        self._recover()
-        # Imported lazily: repro.replicate imports this module for promote().
+        # Imported here: repro.replicate's package import pulls in
+        # ReplicaEngine, which imports this module for promote().
         from repro.replicate.log import ReplicationLog
 
         self.replication = ReplicationLog(
-            self,
-            replica_ack=replica_ack,
-            ack_timeout_s=replica_ack_timeout_s,
+            store, replica_ack=replica_ack, ack_timeout_s=replica_ack_timeout_s
         )
         self.compactor: Optional[BackgroundCompactor] = (
             BackgroundCompactor(self, auto_compact_docs) if auto_compact_docs > 0 else None
         )
 
-    # -- naming ------------------------------------------------------------------------
-
-    def _wal_name(self, generation: int) -> str:
-        return f"wal-{generation:06d}.log"
-
-    def _snapshot_name(self, generation: int) -> str:
-        return f"snapshot-{generation:06d}.rambo2"
-
     @property
-    def manifest_path(self) -> Path:
-        return self.wal_dir / MANIFEST_NAME
-
-    # -- manifest (the compaction commit point) ----------------------------------------
-
-    def _read_manifest(self) -> Optional[Dict]:
-        if not self.manifest_path.exists():
-            return None
-        manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        if manifest.get("version") != 1:
-            raise ValueError(
-                f"{self.manifest_path} has unsupported manifest version "
-                f"{manifest.get('version')!r}"
-            )
-        return manifest
-
-    def _write_manifest(
-        self, generation: int, snapshot: Optional[str], wal: str
-    ) -> None:
-        """Atomically replace the manifest (temp file + rename + dir fsync)."""
-        payload = {
-            "version": 1,
-            "generation": generation,
-            "snapshot": snapshot,
-            "wal": wal,
-            "config": self._base.config.to_dict(),
-        }
-        tmp = self.manifest_path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.flush()
-            if self._fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp, self.manifest_path)
-        if self._fsync:
-            _fsync_directory(self.wal_dir)
-
-    # -- recovery ----------------------------------------------------------------------
-
-    def _recover(self) -> None:
-        active = self.service.snapshots.active
-        base = active.index
-        base_path = active.path
-        manifest = self._read_manifest()
-        if manifest is not None:
-            self.generation = int(manifest["generation"])
-            snapshot_name = manifest.get("snapshot")
-            if snapshot_name:
-                snapshot_path = self.wal_dir / snapshot_name
-                if base_path != str(snapshot_path):
-                    # The manifest names a newer compacted generation than
-                    # the index the server was started with: serve that one.
-                    rotated = self.service.rotate(str(snapshot_path))
-                    base, base_path = rotated.index, rotated.path
-            wal_name = manifest["wal"]
-        else:
-            self.generation = 0
-            wal_name = self._wal_name(0)
-        self._base = base
-        self._base_path = base_path
-        self._delta = LiveDelta(base.config)
-        replay = replay_wal_generation(
-            self.wal_dir, self.generation, expected_config=base.config
-        )
-        segments = None
-        if replay is not None:
-            self.torn_bytes_truncated = truncate_torn_generation(replay)
-            segments = replay.segments
-            # Idempotent across the durable-but-unacknowledged crash window
-            # (see LiveDelta.absorb_fresh): recovery must never turn
-            # duplicate data into a startup failure.
-            self.replayed_documents = self._delta.absorb_fresh(replay.documents, base)
-            self.replay_skipped = len(replay.documents) - self.replayed_documents
-        self._wal = SegmentedWalWriter(
-            self.wal_dir,
-            base.config,
-            self.generation,
-            segment_bytes=self.segment_bytes,
-            fsync=self._fsync,
-            segments=segments,
-        )
-        if manifest is None:
-            self._write_manifest(self.generation, None, wal_name)
-        self._prune_stale_files()
-        if self._delta.num_documents:
-            self._delta.publish(self.service, base, base_path)
-
-    def _prune_stale_files(self) -> None:
-        """Drop segment/snapshot files of other generations (crash debris).
-
-        Only files this engine's naming scheme produced are candidates; the
-        operator-supplied initial index lives outside ``wal_dir`` and is
-        never touched.  All rolled segments of the *current* generation are
-        kept — they are the replication catch-up source until the next
-        compaction retires the whole generation at once.
-        """
-        keep_prefix = f"wal-{self.generation:06d}"
-        keep = {
-            self._snapshot_name(self.generation),
-            MANIFEST_NAME,
-        }
-        for path in self.wal_dir.iterdir():
-            if path.name in keep or (
-                path.name.startswith(keep_prefix) and path.suffix in (".log", ".seg")
-            ):
-                continue
-            if (
-                (path.name.startswith("wal-") and path.suffix in (".log", ".seg"))
-                or (path.name.startswith("snapshot-") and path.suffix == ".rambo2")
-                or path.suffix == ".tmp"
-            ):
-                path.unlink(missing_ok=True)
+    def generation(self) -> int:
+        """The snapshot generation being served and written."""
+        return self.store.generation
 
     # -- the write path ----------------------------------------------------------------
 
@@ -355,27 +185,23 @@ class IngestEngine:
 
         With ``replica_ack > 0`` the acknowledgement additionally waits
         for that many standbys to durably apply the batch; a timeout
-        raises :class:`ReplicationLagError` (the write is locally durable
-        and a retry dedupes by name).
+        raises :class:`~repro.ingest.store.ReplicationLagError` (the write is durable
+        locally and a retry dedupes by name).
         """
         docs = list(documents)
+        store = self.store
         if not docs:
-            with self._lock:
-                return AppendResult(
-                    0,
-                    self.service.snapshots.active.snapshot_id,
-                    self._delta.num_documents,
-                    self._wal.size_bytes,
-                )
+            with store.lock:
+                return self._result(0)
         group = self.group_commit_ms > 0
-        with self._lock:
+        with store.lock:
             if self._closed:
                 raise ValueError("ingest engine is closed")
             batch_names = set()
             for doc in docs:
                 if (
-                    doc.name in self._base
-                    or doc.name in self._delta
+                    doc.name in store.base
+                    or doc.name in store.delta
                     or doc.name in batch_names
                 ):
                     raise ValueError(f"document {doc.name!r} already indexed")
@@ -383,36 +209,20 @@ class IngestEngine:
                 validate_document(doc)  # WAL-encodable (name length, term types)
                 if len(doc):
                     doc.validated_hash_keys()
-            generation = self.generation
-            wal_bytes = self._wal.append(docs, sync=not group)
-            self._delta.absorb(docs)
+            generation = store.generation
+            store.apply(docs, sync=not group, fresh=False)
             self.append_batches += 1
             self.appended_documents += len(docs)
-            if group:
-                # Buffered, not yet durable: the records of this batch end
-                # at committed + pending.  The group leader's sync commits
-                # them; only then may this batch be acknowledged or served.
-                target_records = self._wal.total_records
-            else:
-                target_records = self._wal.committed_records
-                snapshot = self._delta.publish(
-                    self.service, self._base, self._base_path
-                )
-                result = AppendResult(
-                    len(docs),
-                    snapshot.snapshot_id,
-                    self._delta.num_documents,
-                    wal_bytes,
-                )
+            # Under group commit the batch is buffered, not yet durable: its
+            # records end at committed + pending.  The group leader's sync
+            # commits them; only then may it be acknowledged or served.
+            target_records = store.wal.total_records
+            if not group:
+                result = self._result(len(docs))
         if group:
             self._group_commit((generation, target_records))
-            with self._lock:
-                result = AppendResult(
-                    len(docs),
-                    self.service.snapshots.active.snapshot_id,
-                    self._delta.num_documents,
-                    self._wal.size_bytes,
-                )
+            with store.lock:
+                result = self._result(len(docs))
         # Outside the ingest lock: the standby's catch-up reads take the
         # same lock, so a semi-sync wait inside it would deadlock the pair.
         self.replication.notify()
@@ -421,6 +231,14 @@ class IngestEngine:
         if self.compactor is not None:
             self.compactor.maybe_trigger()
         return result
+
+    def _result(self, appended: int) -> AppendResult:
+        return AppendResult(
+            appended,
+            self.store.service.snapshots.active.snapshot_id,
+            self.store.delta.num_documents,
+            self.store.wal.size_bytes,
+        )
 
     def _group_commit(self, target) -> None:
         """Block until the durable watermark covers *target* ``(gen, records)``.
@@ -433,6 +251,7 @@ class IngestEngine:
         races the window also advances the watermark (its snapshot commit
         point makes every buffered record of the old generation durable).
         """
+        store = self.store
         while True:
             with self._gc_cond:
                 while True:
@@ -448,10 +267,10 @@ class IngestEngine:
                     self._gc_cond.wait()
             try:
                 time.sleep(self.group_commit_ms / 1000.0)
-                with self._lock:
-                    self._wal.sync()
-                    self._delta.publish(self.service, self._base, self._base_path)
-                    committed = (self.generation, self._wal.committed_records)
+                with store.lock:
+                    store.wal.sync()
+                    store.publish()
+                    committed = store.position()
                 with self._gc_cond:
                     self._gc_committed = max(self._gc_committed, committed)
                     self._gc_leader_active = False
@@ -468,7 +287,7 @@ class IngestEngine:
     @property
     def delta_documents(self) -> int:
         """Documents currently held by the delta (0 right after compaction)."""
-        return self._delta.num_documents
+        return self.store.delta.num_documents
 
     # -- compaction --------------------------------------------------------------------
 
@@ -481,49 +300,23 @@ class IngestEngine:
         in flight drain on whichever generation they leased.  Appends block
         for the duration (they share the ingest lock) — durability first.
         """
-        with self._lock:
-            if self._closed or not self._delta.num_documents:
+        store = self.store
+        with store.lock:
+            documents_folded = store.delta.num_documents
+            if self._closed or not documents_folded:
                 return None
             started = time.perf_counter()
             # Drain any open group-commit window first: buffered records are
             # already in the delta about to be folded, and sealing the old
             # generation's WAL with unsynced bytes would leave replay and
             # the fold disagreeing about what the generation holds.
-            self._wal.sync()
-            generation = self.generation + 1
-            merged = self._delta.merged_with(self._base)
-            snapshot_name = self._snapshot_name(generation)
-            snapshot_path = self.wal_dir / snapshot_name
-            tmp = snapshot_path.with_suffix(".tmp")
-            save_index(merged, tmp, format="mmap")
-            if self._fsync:
-                with open(tmp, "rb") as handle:
-                    os.fsync(handle.fileno())
-            os.replace(tmp, snapshot_path)
-            if self._fsync:
-                _fsync_directory(self.wal_dir)
-            wal_name = self._wal_name(generation)
-            new_wal = SegmentedWalWriter(
-                self.wal_dir,
-                self._base.config,
-                generation,
-                segment_bytes=self.segment_bytes,
-                fsync=self._fsync,
+            store.wal.sync()
+            generation = store.generation + 1
+            merged = store.delta.merged_with(store.base)
+            snapshot_path = store.install_snapshot(
+                generation, lambda tmp: save_index(merged, tmp, format="mmap")
             )
-            # The commit point: after this rename the new generation is the
-            # recovered state; before it, the old WAL still replays cleanly.
-            self._write_manifest(generation, snapshot_name, wal_name)
-            new_base = open_index(snapshot_path)
-            snapshot = self.service.swap(new_base, str(snapshot_path))
-            documents_folded = self._delta.num_documents
-            old_wal = self._wal
-            self.generation = generation
-            self._base = new_base
-            self._base_path = str(snapshot_path)
-            self._delta.reset()
-            self._wal = new_wal
-            old_wal.close()
-            self._prune_stale_files()
+            snapshot = store.advance(generation, snapshot_path)
             self.compactions += 1
             self.documents_compacted += documents_folded
             self.last_compaction_seconds = time.perf_counter() - started
@@ -531,7 +324,7 @@ class IngestEngine:
                 "generation": generation,
                 "snapshot_id": snapshot.snapshot_id,
                 "documents_folded": documents_folded,
-                "base_documents": new_base.num_documents,
+                "base_documents": store.base.num_documents,
                 "wall_seconds": self.last_compaction_seconds,
                 "snapshot_path": str(snapshot_path),
             }
@@ -548,41 +341,29 @@ class IngestEngine:
 
     def stats(self) -> Dict:
         """JSON-ready WAL/delta/compaction counters (the ``/stats`` block)."""
-        with self._lock:
-            record = {
-                "generation": self.generation,
-                "wal": {
-                    "path": str(self._wal.path),
-                    "bytes": self._wal.size_bytes,
-                    "records_appended": self._wal.records_appended,
-                    "replayed_documents": self.replayed_documents,
-                    "replay_skipped": self.replay_skipped,
-                    "torn_bytes_truncated": self.torn_bytes_truncated,
-                    "segments": self._wal.segment_count,
-                    "segment_bytes": self.segment_bytes,
-                    "records_total": self._wal.committed_records,
-                    "syncs": self._wal.sync_count,
-                    "group_commit_ms": self.group_commit_ms,
-                },
-                "delta": {
-                    "documents": self._delta.num_documents,
-                    "size_bytes": self._delta.size_in_bytes(),
-                },
-                "appends": {
-                    "batches": self.append_batches,
-                    "documents": self.appended_documents,
-                },
-                "compaction": {
-                    "count": self.compactions,
-                    "documents_compacted": self.documents_compacted,
-                    "last_wall_seconds": self.last_compaction_seconds,
-                    "auto_after_docs": (
-                        self.compactor.threshold_docs if self.compactor else 0
-                    ),
-                    "background_errors": (
-                        self.compactor.last_error if self.compactor else None
-                    ),
-                },
+        store = self.store
+        with store.lock:
+            record = store.stats()
+            record["wal"].update(
+                records_appended=store.wal.records_appended,
+                replay_skipped=store.recovery["replay_skipped"],
+                syncs=store.wal.sync_count,
+                group_commit_ms=self.group_commit_ms,
+            )
+            record["appends"] = {
+                "batches": self.append_batches,
+                "documents": self.appended_documents,
+            }
+            record["compaction"] = {
+                "count": self.compactions,
+                "documents_compacted": self.documents_compacted,
+                "last_wall_seconds": self.last_compaction_seconds,
+                "auto_after_docs": (
+                    self.compactor.threshold_docs if self.compactor else 0
+                ),
+                "background_errors": (
+                    self.compactor.last_error if self.compactor else None
+                ),
             }
         record["replication"] = self.replication.stats()
         return record
@@ -594,13 +375,7 @@ class IngestEngine:
         *is* recovery), so it is always ready; the replica override reports
         ready only once its replay has caught up to the primary.
         """
-        return {
-            "role": self.role,
-            "ready": True,
-            "wal_attached": True,
-            "generation": self.generation,
-            "replication_lag": 0,
-        }
+        return self.store.healthz(self.role)
 
     def close(self) -> None:
         """Stop the background compactor and close the WAL segment."""
@@ -609,9 +384,9 @@ class IngestEngine:
         if self.compactor is not None:
             self.compactor.stop()
         self.replication.close()
-        with self._lock:
+        with self.store.lock:
             self._closed = True
-            self._wal.close()
+            self.store.close()
 
     def __enter__(self) -> "IngestEngine":
         return self

@@ -196,7 +196,7 @@ def decode_document(payload: bytes) -> KmerDocument:
         raise WalFormatError(f"malformed WAL document payload: {exc}") from exc
 
 
-def _fsync_directory(path: Path) -> None:
+def fsync_directory(path: Path) -> None:
     """Durably record a directory entry (file creation / rename)."""
     fd = os.open(str(path), os.O_RDONLY)
     try:
@@ -262,6 +262,50 @@ class WalReplay:
         return int(self.header["generation"])
 
 
+#: :attr:`iter_frames.torn_reason` of a frame whose payload fails its CRC32 —
+#: the one kind of damage that more bytes cannot repair.
+CHECKSUM_MISMATCH = "payload checksum mismatch"
+
+
+class iter_frames:  # noqa: N801 - an iterator used like a function
+    """Iterate the CRC-verified record frames of *buffer* from *offset*.
+
+    Yields the ``(start, end)`` extent of each payload; frames sit back to
+    back, so one frame's ``end`` is where the next frame's prefix starts.
+    The walk stops before the first frame that is short or fails its
+    checksum and yields nothing after it: ``torn_reason`` then says why
+    (``None`` when the buffer ended on a frame boundary) and ``end`` is the
+    offset just past the last intact frame.  The one decoder of the record
+    framing — WAL replay, the primary's committed-prefix reads and the
+    standby's stream parser all walk frames through it.
+    """
+
+    def __init__(self, buffer: bytes, offset: int = 0) -> None:
+        self._view = memoryview(buffer)
+        self.end = offset
+        self.torn_reason: Optional[str] = None
+
+    def __iter__(self) -> "iter_frames":
+        return self
+
+    def __next__(self) -> Tuple[int, int]:
+        view, cursor = self._view, self.end
+        if self.torn_reason is None and cursor < len(view):
+            start = cursor + _RECORD_PREFIX.size
+            if start > len(view):
+                self.torn_reason = "short record prefix"
+            else:
+                length, crc = _RECORD_PREFIX.unpack_from(view, cursor)
+                if start + length > len(view):
+                    self.torn_reason = "record payload extends past EOF"
+                elif zlib.crc32(view[start : start + length]) != crc:
+                    self.torn_reason = CHECKSUM_MISMATCH
+                else:
+                    self.end = start + length
+                    return start, self.end
+        raise StopIteration
+
+
 def replay_wal(path: PathLike, expected_config: Optional[RamboConfig] = None) -> WalReplay:
     """Decode every intact record of a segment, tolerating a torn tail.
 
@@ -284,29 +328,18 @@ def replay_wal(path: PathLike, expected_config: Optional[RamboConfig] = None) ->
             )
     replay = WalReplay(header=header, valid_bytes=offset)
     data = path.read_bytes()
-    cursor = offset
-    while cursor < len(data):
-        if cursor + _RECORD_PREFIX.size > len(data):
-            replay.torn_reason = "short record prefix"
-            break
-        length, crc = _RECORD_PREFIX.unpack_from(data, cursor)
-        body_start = cursor + _RECORD_PREFIX.size
-        if body_start + length > len(data):
-            replay.torn_reason = "record payload extends past EOF"
-            break
-        payload = data[body_start : body_start + length]
-        if zlib.crc32(payload) != crc:
-            replay.torn_reason = "payload checksum mismatch"
-            break
+    frames = iter_frames(data, offset)
+    for start, end in frames:
         try:
-            document = decode_document(payload)
+            document = decode_document(data[start:end])
         except WalFormatError as exc:
             replay.torn_reason = f"undecodable payload: {exc}"
             break
         replay.documents.append(document)
         replay.records += 1
-        cursor = body_start + length
-        replay.valid_bytes = cursor
+        replay.valid_bytes = end
+    else:
+        replay.torn_reason = frames.torn_reason
     replay.torn_bytes = len(data) - replay.valid_bytes
     return replay
 
@@ -389,7 +422,7 @@ class WalWriter:
             self._handle.write(len(header_bytes).to_bytes(8, "little"))
             self._handle.write(header_bytes)
             self._commit()
-            _fsync_directory(self.path.parent)
+            fsync_directory(self.path.parent)
         self.committed_bytes = self._handle.tell()
 
     def _commit(self) -> None:

@@ -6,13 +6,14 @@ stream, keyed by a ``(generation, record-offset)`` cursor; the standby
 side (:class:`~repro.replicate.replica.ReplicaEngine`) tails that stream,
 replays each record into its *own* WAL + delta overlay (durable apply
 before ack), follows primary compactions by fetching the new snapshot,
-serves read-only queries throughout, and can be promoted to a full
-:class:`~repro.ingest.engine.IngestEngine` whose recovery replays the
-standby's local WAL — the promote commit point is whatever the standby
-had durably applied.
+serves read-only queries throughout, and can be promoted: its live
+:class:`~repro.ingest.store.GenerationStore` is handed to a full
+:class:`~repro.ingest.engine.IngestEngine` — the promote commit point is
+whatever the standby had durably applied.
 """
 
-from repro.replicate.log import GenerationChanged, ReplicationLog
+from repro.ingest.store import GenerationChanged
+from repro.replicate.log import ReplicationLog
 from repro.replicate.replica import ReplicaEngine
 
 __all__ = [

@@ -1,19 +1,21 @@
-"""Primary-side replication: serve committed WAL records to standbys.
+"""Primary-side replication: wake-ups, the ack ledger, the semi-sync quorum.
 
-The :class:`ReplicationLog` is a read-only view over the engine's WAL,
-addressed by a ``(generation, record-offset)`` cursor — the offset is the
-number of records the standby has durably applied within the generation,
-so resuming a dropped stream is just re-requesting the same cursor.  The
-framed bytes are shipped verbatim (length + CRC32 + payload, exactly as
-they sit in the segment files): the standby re-checks every CRC before
-applying, so a torn or corrupted stream is detected record-by-record
-without any additional framing layer.
+Standbys read the primary's committed WAL through the store's
+:meth:`~repro.ingest.store.GenerationStore.read_committed`, addressed by a
+``(generation, record-offset)`` cursor — the offset is the number of
+records the standby has durably applied within the generation, so resuming
+a dropped stream is just re-requesting the same cursor.  The framed bytes
+are shipped verbatim (length + CRC32 + payload, exactly as they sit in the
+segment files): the standby re-checks every CRC before applying, so a torn
+or corrupted stream is detected record-by-record without any additional
+framing layer.  The :class:`ReplicationLog` counts those reads and parks a
+caught-up reader until the next commit.
 
 Semi-synchronous mode (``replica_ack > 0``) makes an append wait until
 that many standbys have acknowledged the batch's records as durably
 applied.  Ack leases expire after ``peer_ttl_s`` without contact: a dead
 standby silently degrades the pair to asynchronous replication instead of
-wedging every append behind :class:`~repro.ingest.engine.ReplicationLagError`.
+wedging every append behind :class:`~repro.ingest.store.ReplicationLagError`.
 """
 
 from __future__ import annotations
@@ -23,17 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.ingest.engine import ReplicationLagError
-from repro.io.walformat import _RECORD_PREFIX
-
-
-class GenerationChanged(Exception):
-    """The requested generation is no longer the engine's current one
-    (a compaction retired it); carries the generation to re-sync to."""
-
-    def __init__(self, generation: int) -> None:
-        super().__init__(f"WAL generation changed; current is {generation}")
-        self.generation = generation
+from repro.ingest.store import GenerationStore, ReplicationLagError
 
 
 @dataclass
@@ -44,17 +36,17 @@ class _PeerState:
 
 
 class ReplicationLog:
-    """Resumable reads over the engine's committed WAL + standby ack quorum."""
+    """Counted, resumable reads of *store*'s committed WAL + standby ack quorum."""
 
     def __init__(
         self,
-        engine,
+        store: GenerationStore,
         *,
         replica_ack: int = 0,
         ack_timeout_s: float = 30.0,
         peer_ttl_s: float = 30.0,
     ) -> None:
-        self.engine = engine
+        self.store = store
         self.replica_ack = int(replica_ack)
         self.ack_timeout_s = float(ack_timeout_s)
         self.peer_ttl_s = float(peer_ttl_s)
@@ -80,65 +72,17 @@ class ReplicationLog:
 
     # -- the read side -----------------------------------------------------------------
 
-    def position(self) -> Tuple[int, int]:
-        """Current ``(generation, committed_records)`` cursor of the engine."""
-        with self.engine._lock:  # noqa: SLF001 - the log is part of the engine
-            return self.engine.generation, self.engine._wal.committed_records  # noqa: SLF001
-
     def read(
         self, generation: int, offset: int, *, max_bytes: int = 1 << 20
     ) -> Tuple[bytes, int, int]:
-        """Committed framed record bytes starting at record index *offset*.
-
-        Returns ``(data, n_records, committed_records)`` — whole frames
-        only, from a single segment, capped near *max_bytes*; empty when
-        the standby is caught up.  Raises :class:`GenerationChanged` when
-        *generation* is no longer current (the caller re-syncs via the
-        snapshot).  Never returns uncommitted (group-commit-buffered)
-        bytes: an un-fsynced record must not reach a standby before the
-        primary itself would survive losing it.
-        """
-        if offset < 0:
-            raise ValueError(f"offset must be >= 0, got {offset}")
-        with self.engine._lock:  # noqa: SLF001
-            if self.engine.generation != generation:
-                raise GenerationChanged(self.engine.generation)
-            infos = self.engine._wal.segment_infos()  # noqa: SLF001
-            committed = self.engine._wal.committed_records  # noqa: SLF001
-            if offset >= committed:
-                return b"", 0, committed
-            target = None
-            for info in infos:
-                if info.start_record <= offset < info.end_record:
-                    target = info
-                    break
-            if target is None:
-                raise ValueError(
-                    f"record offset {offset} not found in generation "
-                    f"{generation} (committed {committed})"
-                )
-            # Open under the lock (compaction won't unlink mid-open); the
-            # scan itself runs on a stable committed prefix either way.
-            with open(target.path, "rb") as handle:
-                data = handle.read(target.committed_bytes)
-        cursor = target.data_offset
-        for _ in range(offset - target.start_record):
-            length, _crc = _RECORD_PREFIX.unpack_from(data, cursor)
-            cursor += _RECORD_PREFIX.size + length
-        start = cursor
-        n_records = 0
-        end_record = target.start_record + target.records
-        record = offset
-        while record < end_record and cursor - start < max_bytes:
-            length, _crc = _RECORD_PREFIX.unpack_from(data, cursor)
-            cursor += _RECORD_PREFIX.size + length
-            record += 1
-            n_records += 1
-        chunk = data[start:cursor]
-        with self._cond:
-            self.streams_read += 1
-            self.records_streamed += n_records
-            self.bytes_streamed += len(chunk)
+        """A counted :meth:`~repro.ingest.store.GenerationStore.read_committed`:
+        ``(data, n_records, committed_records)``."""
+        chunk, n_records, committed = self.store.read_committed(generation, offset, max_bytes)
+        if n_records:
+            with self._cond:
+                self.streams_read += 1
+                self.records_streamed += n_records
+                self.bytes_streamed += len(chunk)
         return chunk, n_records, committed
 
     def wait_for_records(self, generation: int, offset: int, timeout: float) -> bool:
@@ -147,7 +91,7 @@ class ReplicationLog:
         deadline = time.monotonic() + timeout
         with self._cond:
             while not self._closed:
-                gen, committed = self.position()
+                gen, committed = self.store.position()
                 if gen != generation or committed > offset:
                     return True
                 remaining = deadline - time.monotonic()
@@ -214,7 +158,7 @@ class ReplicationLog:
     # -- observability -----------------------------------------------------------------
 
     def stats(self) -> Dict:
-        generation, committed = self.position()
+        generation, committed = self.store.position()
         with self._cond:
             now = time.monotonic()
             live = self._live_peers()
@@ -228,7 +172,7 @@ class ReplicationLog:
                 for peer, state in self._peers.items()
             }
             return {
-                "role": self.engine.role,
+                "role": "primary",
                 "cursor": {"generation": generation, "records": committed},
                 "lag_records": 0,
                 "lag_seconds": 0.0,

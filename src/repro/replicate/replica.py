@@ -1,12 +1,12 @@
 """Standby-side replication: tail the primary's WAL stream, replay locally.
 
-The replica's durability mirrors the primary's: every streamed record is
+The replica's durability mirrors the primary's — it drives the same
+:class:`~repro.ingest.store.GenerationStore`: every streamed record is
 fsynced into the standby's *own* WAL before the delta absorbs it, before
 the overlay is republished, and before the cursor is acked back — so the
 standby's recovered state after any crash is exactly its acked prefix,
-and promoting it (:meth:`ReplicaEngine.promote`) is nothing more than
-constructing a normal :class:`~repro.ingest.engine.IngestEngine` over the
-standby's WAL directory and letting ordinary recovery replay it.
+and promoting it (:meth:`ReplicaEngine.promote`) is a role flip: the live
+store gets an :class:`~repro.ingest.engine.IngestEngine` in front of it.
 
 Stream protocol (client side of ``GET /wal/stream``):
 
@@ -18,8 +18,8 @@ Stream protocol (client side of ``GET /wal/stream``):
   shipped verbatim; every CRC is re-checked here and a mismatch drops the
   connection (the re-request re-reads the record from the primary's disk);
 * a ``409`` means the generation was compacted away: fetch the new base
-  snapshot via ``GET /wal/snapshot``, rotate it in, reset the delta and
-  start a fresh local WAL generation at cursor 0.
+  snapshot via ``GET /wal/snapshot``, install it and advance the store to
+  the new generation at cursor 0.
 """
 
 from __future__ import annotations
@@ -32,105 +32,51 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-import zlib
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.ingest.engine import (
-    DEFAULT_WAL_SEGMENT_BYTES,
-    MANIFEST_NAME,
-    _env_int,
-)
-from repro.ingest.overlay import LiveDelta
-from repro.io.walformat import (
-    _RECORD_PREFIX,
-    SegmentedWalWriter,
-    _fsync_directory,
-    decode_document,
-    replay_wal_generation,
-    truncate_torn_generation,
-    wal_segment_name,
-)
+from repro.ingest.engine import IngestEngine
+from repro.ingest.store import GenerationChanged, GenerationStore, PathLike
+from repro.io.walformat import CHECKSUM_MISMATCH, decode_document, iter_frames
 from repro.kmers.extraction import KmerDocument
-
-PathLike = os.PathLike
 
 
 class ReplicaError(RuntimeError):
     """A standby-side replication failure (stream damage, read-only writes)."""
 
 
-class _GenerationMoved(Exception):
-    """Internal signal: the primary compacted; re-sync via its snapshot."""
-
-    def __init__(self, generation: int) -> None:
-        super().__init__(f"primary moved to generation {generation}")
-        self.generation = generation
-
-
-def _write_manifest(
-    wal_dir: Path, generation: int, snapshot: Optional[str], wal: str, config, fsync: bool
-) -> None:
-    """The same atomic manifest protocol as the ingest engine (temp file +
-    rename + dir fsync) — the standby's recovery IS the engine's recovery."""
-    payload = {
-        "version": 1,
-        "generation": generation,
-        "snapshot": snapshot,
-        "wal": wal,
-        "config": config.to_dict(),
-    }
-    manifest_path = wal_dir / MANIFEST_NAME
-    tmp = manifest_path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
-    os.replace(tmp, manifest_path)
-    if fsync:
-        _fsync_directory(wal_dir)
-
-
 def _fetch_snapshot(
-    primary_url: str, wal_dir: Path, *, timeout: float, fsync: bool
+    primary_url: str, store: GenerationStore, timeout: float
 ) -> Tuple[Path, int]:
-    """Download the primary's current base artifact; returns ``(path, generation)``.
+    """Download the primary's current base artifact into *store*; returns
+    ``(path, generation)``.
 
-    Written via temp file + rename so a crash mid-download leaves no
-    half-snapshot a later recovery could mistake for a real one, and
-    verified against the primary's ``X-Content-Sha256`` before the rename
-    — a snapshot is raw bitmap bytes with no per-record CRC of its own,
-    so transfer damage here would otherwise rotate straight into the
-    standby's serving path.
+    Verified against the primary's ``X-Content-Sha256`` before the store
+    renames it into place — a snapshot is raw bitmap bytes with no
+    per-record CRC of its own, so transfer damage here would otherwise
+    rotate straight into the standby's serving path.
     """
     request = urllib.request.Request(primary_url + "/wal/snapshot")
     with urllib.request.urlopen(request, timeout=timeout) as response:
         generation = int(response.headers.get("X-Wal-Generation", "0"))
         expected_digest = response.headers.get("X-Content-Sha256")
-        digest = hashlib.sha256()
-        path = wal_dir / f"snapshot-{generation:06d}.rambo2"
-        tmp = path.with_suffix(".fetch.tmp")
-        with open(tmp, "wb") as handle:
-            while True:
-                chunk = response.read(1 << 20)
-                if not chunk:
-                    break
-                digest.update(chunk)
-                handle.write(chunk)
-            handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
-    if expected_digest is not None and digest.hexdigest() != expected_digest:
-        tmp.unlink(missing_ok=True)
-        raise ReplicaError(
-            f"snapshot transfer from {primary_url} failed its checksum "
-            f"(generation {generation}); retrying"
-        )
-    os.replace(tmp, path)
-    if fsync:
-        _fsync_directory(wal_dir)
-    return path, generation
+
+        def download(tmp: Path) -> None:
+            digest = hashlib.sha256()
+            with open(tmp, "wb") as handle:
+                while True:
+                    chunk = response.read(1 << 20)
+                    if not chunk:
+                        break
+                    digest.update(chunk)
+                    handle.write(chunk)
+            if expected_digest is not None and digest.hexdigest() != expected_digest:
+                raise ReplicaError(
+                    f"snapshot transfer from {primary_url} failed its checksum "
+                    f"(generation {generation}); retrying"
+                )
+
+        return store.install_snapshot(generation, download), generation
 
 
 class ReplicaEngine:
@@ -160,16 +106,7 @@ class ReplicaEngine:
         backoff_cap_s: float = 1.0,
         read_timeout_s: float = 15.0,
     ) -> None:
-        self.service = service
-        self.wal_dir = Path(wal_dir)
         self.primary_url = primary_url.rstrip("/")
-        self._lock = threading.RLock()
-        self._fsync = fsync
-        if segment_bytes is None:
-            segment_bytes = _env_int(
-                "REPRO_WAL_SEGMENT_BYTES", DEFAULT_WAL_SEGMENT_BYTES
-            )
-        self.segment_bytes = int(segment_bytes)
         self.peer_id = peer_id or f"replica-{os.getpid()}"
         self.promote_kwargs = dict(promote_kwargs or {})
         self.poll_wait_s = float(poll_wait_s)
@@ -177,44 +114,17 @@ class ReplicaEngine:
         self.backoff_s = float(backoff_s)
         self.backoff_cap_s = float(backoff_cap_s)
         self.read_timeout_s = float(read_timeout_s)
-        manifest_path = self.wal_dir / MANIFEST_NAME
-        if not manifest_path.exists():
+        self.store = GenerationStore(wal_dir, fsync=fsync, segment_bytes=segment_bytes)
+        if self.store.read_manifest() is None:
             raise ReplicaError(
-                f"{self.wal_dir} holds no manifest; use ReplicaEngine.bootstrap()"
+                f"{self.store.directory} holds no manifest; use ReplicaEngine.bootstrap()"
             )
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        self.generation = int(manifest["generation"])
-        active = service.snapshots.active
-        self._base = active.index
-        self._base_path = active.path
-        self._delta = LiveDelta(self._base.config)
-        self.replayed_documents = 0
-        self.torn_bytes_truncated = 0
-        # Resume after a standby crash: replay whatever this node durably
-        # applied — the cursor picks up exactly there, never re-acking
-        # records that did not survive.
-        replay = replay_wal_generation(
-            self.wal_dir, self.generation, expected_config=self._base.config
-        )
-        segments = None
-        if replay is not None:
-            self.torn_bytes_truncated = truncate_torn_generation(replay)
-            segments = replay.segments
-            self.replayed_documents = self._delta.absorb_fresh(
-                replay.documents, self._base
-            )
-        self._wal = SegmentedWalWriter(
-            self.wal_dir,
-            self._base.config,
-            self.generation,
-            segment_bytes=self.segment_bytes,
-            fsync=self._fsync,
-            segments=segments,
-        )
-        self.applied = self._wal.committed_records
+        # Resume after a standby crash: recovery replays whatever this node
+        # durably applied — the cursor picks up exactly there, never
+        # re-acking records that did not survive.
+        self.store.recover(service)
+        self.applied = self.store.wal.committed_records
         self.primary_records = self.applied
-        if self._delta.num_documents:
-            self._delta.publish(self.service, self._base, self._base_path)
         self.ready = False
         self.last_error: Optional[str] = None
         self.reconnects = 0
@@ -225,7 +135,12 @@ class ReplicaEngine:
         self._stop = threading.Event()
         self._response = None
         self._thread: Optional[threading.Thread] = None
-        self._promoted = None
+        self._promoted: Optional[IngestEngine] = None
+
+    @property
+    def generation(self) -> int:
+        """The generation this standby serves and tails."""
+        return self.store.generation
 
     # -- bootstrap ---------------------------------------------------------------------
 
@@ -251,22 +166,15 @@ class ReplicaEngine:
         from repro.serve.service import QueryService
 
         primary_url = primary_url.rstrip("/")
-        wal_dir = Path(wal_dir)
-        wal_dir.mkdir(parents=True, exist_ok=True)
-        manifest_path = wal_dir / MANIFEST_NAME
-        snapshot_path: Optional[Path] = None
-        if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            candidate = wal_dir / f"snapshot-{int(manifest['generation']):06d}.rambo2"
-            if candidate.exists():
-                snapshot_path = candidate
+        store = GenerationStore(wal_dir, fsync=fsync)
+        snapshot_path = store.committed_snapshot()
         if snapshot_path is None:
             deadline = time.monotonic() + connect_timeout_s
             delay = 0.05
             while True:
                 try:
                     snapshot_path, generation = _fetch_snapshot(
-                        primary_url, wal_dir, timeout=connect_timeout_s, fsync=fsync
+                        primary_url, store, connect_timeout_s
                     )
                     break
                 except (urllib.error.URLError, OSError, ReplicaError):
@@ -275,13 +183,8 @@ class ReplicaEngine:
                     time.sleep(delay)
                     delay = min(delay * 2, 1.0)
             service = QueryService.open(str(snapshot_path), **(service_opts or {}))
-            _write_manifest(
-                wal_dir,
-                generation,
-                snapshot_path.name,
-                wal_segment_name(generation, 0),
-                service.snapshots.active.index.config,
-                fsync,
+            store.write_manifest(
+                generation, snapshot_path.name, service.snapshots.active.index.config
             )
         else:
             service = QueryService.open(str(snapshot_path), **(service_opts or {}))
@@ -295,13 +198,11 @@ class ReplicaEngine:
     def _apply(self, documents: List[KmerDocument]) -> None:
         """Durably apply one streamed batch: local WAL fsync first, then
         delta + overlay, then the cursor advance the next ack reports."""
-        with self._lock:
+        with self.store.lock:
             if self._promoted is not None:
                 return
-            self._wal.append(documents)
-            self._delta.absorb_fresh(documents, self._base)
-            self._delta.publish(self.service, self._base, self._base_path)
-            self.applied = self._wal.committed_records
+            self.store.apply(documents, sync=True, fresh=True)
+            self.applied = self.store.wal.committed_records
             self.primary_records = max(self.primary_records, self.applied)
             self.applied_batches += 1
             self.applied_documents += len(documents)
@@ -340,24 +241,18 @@ class ReplicaEngine:
         connection and resumes from the durable cursor, re-reading the
         damaged record from the primary's disk.
         """
-        documents: List[KmerDocument] = []
-        cursor = 0
-        while len(buffer) - cursor >= _RECORD_PREFIX.size:
-            length, crc = _RECORD_PREFIX.unpack_from(buffer, cursor)
-            end = cursor + _RECORD_PREFIX.size + length
-            if len(buffer) < end:
-                break
-            payload = buffer[cursor + _RECORD_PREFIX.size : end]
-            if zlib.crc32(payload) != crc:
-                raise ReplicaError(
-                    f"stream record at cursor {self.applied + len(documents)} "
-                    f"failed its CRC check"
-                )
-            documents.append(decode_document(payload))
-            cursor = end
+        frames = iter_frames(buffer)
+        documents: List[KmerDocument] = [
+            decode_document(buffer[start:end]) for start, end in frames
+        ]
+        if frames.torn_reason == CHECKSUM_MISMATCH:
+            raise ReplicaError(
+                f"stream record at cursor {self.applied + len(documents)} "
+                f"failed its CRC check"
+            )
         if documents:
             self._apply(documents)
-        return buffer[cursor:]
+        return buffer[frames.end :]
 
     # -- the tail loop -----------------------------------------------------------------
 
@@ -392,7 +287,8 @@ class ReplicaEngine:
                     generation = int(json.loads(exc.read().decode("utf-8"))["generation"])
                 except Exception:  # noqa: BLE001 - body shape is advisory
                     generation = -1
-                raise _GenerationMoved(generation) from exc
+                # The primary's own GenerationChanged, carried back over the wire.
+                raise GenerationChanged(generation) from exc
             raise
         self._response = response
         try:
@@ -428,22 +324,20 @@ class ReplicaEngine:
                 pass
 
     def _follow_generation(self, generation: int) -> None:
-        """Re-sync after a primary compaction: new base snapshot, fresh
-        local WAL generation, cursor back to 0."""
+        """Re-sync after a primary compaction: install its snapshot, then the
+        same ``advance()`` the primary's compaction ended in, cursor back to 0."""
         self.snapshot_fetches += 1
         snapshot_path, fetched_generation = _fetch_snapshot(
-            self.primary_url, self.wal_dir, timeout=60.0, fsync=self._fsync
+            self.primary_url, self.store, 60.0
         )
         if generation >= 0 and fetched_generation < generation:
             raise ReplicaError(
                 f"primary served snapshot generation {fetched_generation} "
                 f"but advertised {generation}"
             )
-        with self._lock:
+        with self.store.lock:
             if self._promoted is not None:
                 return
-            rotated = self.service.rotate(str(snapshot_path))
-            old_wal = self._wal
             # Reset the cursor BEFORE the new generation becomes visible:
             # progress is read lock-free (healthz lag, catch-up polls), and
             # new-generation + stale old-generation `applied` would read as
@@ -452,45 +346,8 @@ class ReplicaEngine:
             # reads as transient lag.
             self.applied = 0
             self.primary_records = 0
-            self.generation = fetched_generation
-            self._base = rotated.index
-            self._base_path = rotated.path
-            self._delta.reset()
-            self._wal = SegmentedWalWriter(
-                self.wal_dir,
-                self._base.config,
-                self.generation,
-                segment_bytes=self.segment_bytes,
-                fsync=self._fsync,
-            )
-            # The standby's own commit point, mirroring the primary's
-            # compaction protocol: manifest rename last.
-            _write_manifest(
-                self.wal_dir,
-                self.generation,
-                snapshot_path.name,
-                wal_segment_name(self.generation, 0),
-                self._base.config,
-                self._fsync,
-            )
-            old_wal.close()
-            self._prune_stale_files()
+            self.store.advance(fetched_generation, snapshot_path)
         self._send_ack()
-
-    def _prune_stale_files(self) -> None:
-        keep_prefix = f"wal-{self.generation:06d}"
-        keep = {f"snapshot-{self.generation:06d}.rambo2", MANIFEST_NAME}
-        for path in self.wal_dir.iterdir():
-            if path.name in keep or (
-                path.name.startswith(keep_prefix) and path.suffix in (".log", ".seg")
-            ):
-                continue
-            if (
-                (path.name.startswith("wal-") and path.suffix in (".log", ".seg"))
-                or (path.name.startswith("snapshot-") and path.suffix == ".rambo2")
-                or path.suffix == ".tmp"
-            ):
-                path.unlink(missing_ok=True)
 
     def _tail_loop(self) -> None:
         delay = self.backoff_s
@@ -499,7 +356,7 @@ class ReplicaEngine:
                 self._stream_once()
                 self.last_error = None
                 delay = self.backoff_s
-            except _GenerationMoved as moved:
+            except GenerationChanged as moved:
                 try:
                     self._follow_generation(moved.generation)
                     delay = self.backoff_s
@@ -535,59 +392,42 @@ class ReplicaEngine:
 
     @property
     def delta_documents(self) -> int:
-        return self._delta.num_documents
+        return self.store.delta.num_documents
 
     def lag_records(self) -> int:
-        with self._lock:
+        with self.store.lock:
             return max(0, self.primary_records - self.applied)
 
     def stats(self) -> Dict:
-        with self._lock:
-            lag = max(0, self.primary_records - self.applied)
+        with self.store.lock:
+            lag = self.lag_records()
             lag_seconds = (
                 0.0 if lag == 0 else round(time.monotonic() - self._last_progress, 3)
             )
-            return {
-                "generation": self.generation,
-                "wal": {
-                    "path": str(self._wal.path),
-                    "bytes": self._wal.size_bytes,
-                    "records_total": self._wal.committed_records,
-                    "segments": self._wal.segment_count,
-                    "segment_bytes": self.segment_bytes,
-                    "replayed_documents": self.replayed_documents,
-                    "torn_bytes_truncated": self.torn_bytes_truncated,
-                },
-                "delta": {
-                    "documents": self._delta.num_documents,
-                    "size_bytes": self._delta.size_in_bytes(),
-                },
-                "replication": {
-                    "role": self.role,
-                    "primary": self.primary_url,
-                    "cursor": {"generation": self.generation, "records": self.applied},
-                    "lag_records": lag,
-                    "lag_seconds": lag_seconds,
-                    "ready": self.ready,
-                    "last_error": self.last_error,
-                    "reconnects": self.reconnects,
-                    "snapshot_fetches": self.snapshot_fetches,
-                    "applied_batches": self.applied_batches,
-                    "applied_documents": self.applied_documents,
-                    "peer_id": self.peer_id,
-                },
+            record = self.store.stats()
+            record["replication"] = {
+                "role": self.role,
+                "primary": self.primary_url,
+                "cursor": {"generation": self.generation, "records": self.applied},
+                "lag_records": lag,
+                "lag_seconds": lag_seconds,
+                "ready": self.ready,
+                "last_error": self.last_error,
+                "reconnects": self.reconnects,
+                "snapshot_fetches": self.snapshot_fetches,
+                "applied_batches": self.applied_batches,
+                "applied_documents": self.applied_documents,
+                "peer_id": self.peer_id,
             }
+            return record
 
     def healthz(self) -> Dict:
-        with self._lock:
-            lag = max(0, self.primary_records - self.applied)
-            return {
-                "role": self.role,
-                "ready": bool(self.ready and self._promoted is None),
-                "wal_attached": True,
-                "generation": self.generation,
-                "replication_lag": lag,
-            }
+        with self.store.lock:
+            return self.store.healthz(
+                self.role,
+                ready=bool(self.ready and self._promoted is None),
+                replication_lag=self.lag_records(),
+            )
 
     # -- promote / lifecycle -----------------------------------------------------------
 
@@ -607,53 +447,38 @@ class ReplicaEngine:
             # on a failover clock pass a short timeout and move on.
             thread.join(timeout=join_timeout_s)
 
-    def promote(self, **overrides):
+    def promote(self, **overrides) -> IngestEngine:
         """Promote this standby to a primary; returns the new engine.
 
-        Idempotent.  Stops the tailer, closes the local WAL and constructs
-        a normal :class:`~repro.ingest.engine.IngestEngine` over the same
-        directory — its recovery replays exactly what this standby durably
-        applied, which *is* the promote commit point: acknowledged writes
-        the dead primary streamed out survive; whatever it never shipped
-        was, by semi-sync definition, never acknowledged under
-        ``replica_ack >= 1``.
+        Idempotent, and a role flip rather than a restart: the tailer is
+        stopped and the *live* store — open WAL, live delta, published
+        overlay — is handed to an :class:`~repro.ingest.engine.IngestEngine`
+        that adopts it.  What the store holds is exactly what this standby
+        durably applied, which *is* the promote commit point: acknowledged
+        writes the dead primary streamed out survive; whatever it never
+        shipped was, by semi-sync definition, never acknowledged under
+        ``replica_ack >= 1``.  A tailer that outlived its join cannot write
+        behind the new primary's back: ``_apply`` and ``_follow_generation``
+        take the store's lock — now the engine's too — and re-check
+        ``_promoted`` before touching it.
         """
-        with self._lock:
+        with self.store.lock:
             if self._promoted is not None:
                 return self._promoted
         self._stop_tailing(join_timeout_s=1.0)
-        with self._lock:
-            if self._promoted is not None:
-                return self._promoted
-            self._wal.close()
-            # Hand the engine the *raw* base, not this replica's published
-            # overlay: its recovery replays our durable WAL into its own
-            # delta, and an overlay-over-overlay base would break the
-            # query kernels.  The republish at the end of its recovery
-            # restores the exact same served answers.
-            self.service.swap(self._base, self._base_path)
-            from repro.ingest.engine import IngestEngine
-
-            kwargs = {
-                "fsync": self._fsync,
-                "segment_bytes": self.segment_bytes,
-                **self.promote_kwargs,
-                **overrides,
-            }
-            engine = IngestEngine(self.service, self.wal_dir, **kwargs)
-            self.service.attach_ingest(engine)
-            self._promoted = engine
-            # The engine replayed the WAL into a delta of its own; let go of
-            # this one's planes.
-            self._delta.reset()
-            return engine
+        with self.store.lock:
+            if self._promoted is None:
+                self._promoted = IngestEngine.adopt(
+                    self.store, **{**self.promote_kwargs, **overrides}
+                )
+                self.store.service.attach_ingest(self._promoted)
+            return self._promoted
 
     def close(self) -> None:
         if self._promoted is not None:
             return
         self._stop_tailing()
-        with self._lock:
-            self._wal.close()
+        self.store.close()
 
     def __enter__(self) -> "ReplicaEngine":
         return self

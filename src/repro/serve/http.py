@@ -54,13 +54,17 @@ endpoint) or 500 (evaluation failure).
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
+from urllib.parse import parse_qs
 
 import numpy as np
 
+from repro.ingest.store import GenerationChanged, ReplicationLagError
 from repro.kmers.extraction import (
     KmerDocument,
     document_from_sequences,
@@ -309,6 +313,9 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         if not all(isinstance(term, (int, str)) for term in terms):
             raise ValueError(f"document {name!r}: terms must be integers or strings")
         normalised = [normalise_query_term(term, k, canonical=canonical) for term in terms]
+        for term in normalised:
+            if isinstance(term, int) and not 0 <= term < 1 << 64:
+                raise ValueError(f"document {name!r}: term {term!r} is not a uint64 code")
         if all(isinstance(term, (int, np.integer)) for term in normalised):
             return KmerDocument(name, np.asarray(normalised, dtype=np.uint64))
         return KmerDocument(name, frozenset(normalised), source_format="text")
@@ -366,12 +373,14 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         except ValueError as exc:
             self._send_error_json(str(exc), 400)
             return
-        except Exception as exc:  # noqa: BLE001 - surfaced as a 500, not a dead socket
+        except ReplicationLagError as exc:
             # A semi-sync append that timed out waiting for its standby
             # quorum is locally durable but of unknown replicated fate:
             # 503 tells the failover client to retry (recovery dedupes).
-            status = 503 if type(exc).__name__ == "ReplicationLagError" else 500
-            self._send_error_json(f"append failed: {exc}", status)
+            self._send_error_json(f"append failed: {exc}", 503)
+            return
+        except Exception as exc:  # noqa: BLE001 - surfaced as a 500, not a dead socket
+            self._send_error_json(f"append failed: {exc}", 500)
             return
         self._send_json(
             {
@@ -433,8 +442,6 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         and ends cleanly once a wait comes up empty — the standby just
         reconnects with its advanced cursor.
         """
-        from urllib.parse import parse_qs
-
         service = self.server.service
         replication = getattr(service.ingest, "replication", None)
         if replication is None:
@@ -458,9 +465,7 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         except ValueError as exc:
             self._send_error_json(str(exc), 400)
             return
-        except Exception as exc:  # noqa: BLE001 - GenerationChanged, duck-typed
-            if type(exc).__name__ != "GenerationChanged":
-                raise
+        except GenerationChanged as exc:
             self._send_json(
                 {"error": str(exc), "generation": exc.generation}, status=409
             )
@@ -488,10 +493,8 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
                     data, n_records, _ = replication.read(
                         generation, cursor, max_bytes=max_bytes
                     )
-                except Exception as exc:  # noqa: BLE001 - generation retired mid-stream
-                    if type(exc).__name__ != "GenerationChanged":
-                        raise
-                    break  # the standby's re-request gets the 409
+                except GenerationChanged:
+                    break  # retired mid-stream: the standby's re-request gets the 409
             self.wfile.write(b"0\r\n\r\n")
             self.wfile.flush()
         except OSError:
@@ -504,32 +507,26 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
     def _handle_wal_snapshot(self) -> None:
         """Stream the serving base artifact (for standby bootstrap/re-sync).
 
-        The file is opened under the ingest lock — compaction can unlink
-        it a moment later, but the open descriptor keeps the bytes alive
-        for the duration of the copy (and the standby's next stream
-        request would 409 onto the newer generation anyway).
+        The store pins file and generation together — compaction can
+        unlink the file a moment later, but the open descriptor keeps the
+        bytes alive for the duration of the copy (and the standby's next
+        stream request would 409 onto the newer generation anyway).
 
         ``X-Content-Sha256`` carries the artifact's digest so the standby
         can verify the transfer end-to-end: a snapshot is raw bitmap
         bytes, and a flipped bit here would silently poison every answer
         the standby serves after rotating it in.
         """
-        import hashlib as _hashlib
-        import os as _os
-
-        service = self.server.service
-        ingest = service.ingest
+        ingest = self.server.service.ingest
         if ingest is None:
             self._send_error_json(
                 "this node has no WAL directory (not a primary)", 400
             )
             return
-        with ingest._lock:  # noqa: SLF001 - pin base path + generation together
-            generation = ingest.generation
-            handle = open(ingest._base_path, "rb")  # noqa: SLF001
+        generation, handle = ingest.store.open_base()
         try:
-            size = _os.fstat(handle.fileno()).st_size
-            digest = _hashlib.sha256()
+            size = os.fstat(handle.fileno()).st_size
+            digest = hashlib.sha256()
             while True:
                 chunk = handle.read(1 << 20)
                 if not chunk:

@@ -344,11 +344,11 @@ class QueryService:
     def attach_ingest(self, engine) -> None:
         """Adopt an :class:`~repro.ingest.engine.IngestEngine` for this service.
 
-        Duck-typed (anything with ``stats()``/``close()``) to keep the serve
-        package import-independent of the ingest package.  The engine drives
-        this service's snapshot pointer; attaching it here makes its
-        counters part of :meth:`stats` and ties its shutdown to
-        :meth:`close`.
+        Duck-typed (anything with ``stats()``/``close()``): the primary's
+        engine, a standby's, and the engine a promotion flips to all attach
+        here.  The engine drives this service's snapshot pointer; attaching
+        it makes its counters part of :meth:`stats` and ties its shutdown
+        to :meth:`close`.
         """
         self.ingest = engine
 

@@ -24,11 +24,25 @@ The tiers:
 All tiers disable deadlines: the suite runs under thread-count and CI-load
 variation that makes per-example wall-clock limits pure flake.
 
-Select a profile per run with ``REPRO_HYPOTHESIS_PROFILE=<tier>`` — e.g. CI
-smoke can run everything at the ``stateful`` budget, a nightly fuzz at an
-inflated ``determinism`` budget — defaulting to each test's declared tier
-otherwise (the ``standard`` profile is loaded globally; individual tests
-opt into other tiers with the :func:`tier` decorator).
+**Tier-1 is a function of the code alone.**  The three tiers run with
+``derandomize=True`` (examples derive from each test's source, not from a
+random seed) and ``database=None`` (nothing under ``.hypothesis/`` is read or
+written), so a run can neither be decided by an example some earlier run
+saved nor differ from the run before it.  Inline ``@settings(...)`` literals
+inherit both from the loaded profile.
+
+``thorough``
+    The searching mode, for a nightly or a bug hunt:
+    ``REPRO_HYPOTHESIS_PROFILE=thorough`` re-registers every tier with
+    random seeds, the example database on and four times the example budget
+    (twice the steps for ``stateful``).  A failure it finds is replayed from
+    the database on the next ``thorough`` run; pin it as a plain test before
+    relying on tier-1 to keep it fixed.
+
+Select a profile per run with ``REPRO_HYPOTHESIS_PROFILE=<name>`` — e.g. CI
+smoke can run everything at the ``stateful`` budget — defaulting to each
+test's declared tier otherwise (the ``standard`` profile is loaded globally;
+individual tests opt into other tiers with the :func:`tier` decorator).
 """
 
 from __future__ import annotations
@@ -37,25 +51,36 @@ import os
 
 from hypothesis import HealthCheck, settings
 
+THOROUGH = os.environ.get("REPRO_HYPOTHESIS_PROFILE") == "thorough"
+_MODE = {} if THOROUGH else {"derandomize": True, "database": None}
+_SCALE = 4 if THOROUGH else 1
+
 settings.register_profile(
     "determinism",
-    max_examples=300,
+    max_examples=300 * _SCALE,
     deadline=None,
+    **_MODE,
 )
 
 settings.register_profile(
     "standard",
-    max_examples=100,
+    max_examples=100 * _SCALE,
     deadline=None,
+    **_MODE,
 )
 
 settings.register_profile(
     "stateful",
-    max_examples=25,
-    stateful_step_count=25,
+    max_examples=25 * _SCALE,
+    stateful_step_count=50 if THOROUGH else 25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    **_MODE,
 )
+
+# Loaded globally by ``REPRO_HYPOTHESIS_PROFILE=thorough``: bare ``@given``
+# tests then run at the (scaled, random) ``standard`` budget.
+settings.register_profile("thorough", settings.get_profile("standard"))
 
 
 def tier(name: str) -> settings:

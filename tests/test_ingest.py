@@ -46,10 +46,12 @@ from repro.core.serialization import save_index
 from repro.ingest import DeltaOverlayIndex, IngestEngine
 from repro.ingest import engine as engine_module
 from repro.io.walformat import (
+    CHECKSUM_MISMATCH,
     WalFormatError,
     WalWriter,
     decode_document,
     encode_document,
+    iter_frames,
     read_wal_header,
     replay_wal,
     truncate_torn_tail,
@@ -147,6 +149,49 @@ class TestWalFormat:
         with pytest.raises(WalFormatError, match="not WAL-encodable"):
             validate_document(doc)
         validate_document(KmerDocument("ok", frozenset({1, "x"})))
+
+    @tier("determinism")
+    @given(
+        docs=doc_collections,
+        cut=st.integers(min_value=0, max_value=1 << 16),
+        flip=st.none() | st.integers(min_value=0, max_value=1 << 16),
+    )
+    def test_iter_frames_yields_the_intact_prefix_and_says_why_it_stopped(self, docs, cut, flip):
+        """Any run of frames, cut at any byte, with any one byte flipped: the
+        one frame walker behaves as WAL replay, the primary's committed read
+        and the standby's stream parser each need it to."""
+        payloads = [encode_document(make_doc(f"d{i}", terms)) for i, terms in enumerate(docs)]
+        framed = [struct.pack("<II", len(p), zlib.crc32(p)) + p for p in payloads]
+        buffer = bytearray(b"".join(framed)[: cut % (sum(map(len, framed)) + 1)])
+        flipped = None
+        if flip is not None and buffer:
+            flipped = flip % len(buffer)
+            buffer[flipped] ^= 0xFF
+        # The frames wholly inside the buffer, up to the one holding the flip.
+        intact, start = [], 0
+        for frame in framed:
+            end = start + len(frame)
+            if end > len(buffer) or (flipped is not None and start <= flipped < end):
+                break
+            intact.append((start + 8, end))
+            start = end
+        frames = iter_frames(bytes(buffer))
+        extents = list(frames)
+        # Replay: exactly the intact prefix decodes; nothing after damage is yielded.
+        assert extents == intact and frames.end == start
+        assert [decode_document(bytes(buffer[a:b])).name for a, b in extents] == [
+            f"d{i}" for i in range(len(intact))
+        ]
+        assert list(frames) == []  # exhausted for good, even past a bad frame
+        # Committed read: a clean buffer ends on a frame boundary, with no reason.
+        assert (frames.torn_reason is None) == (start == len(buffer))
+        # Stream parser: a frame merely cut short is a tail to keep (more bytes
+        # will complete it); a flipped payload or checksum byte is damage.
+        if flipped is None and start < len(buffer):
+            assert frames.torn_reason in ("short record prefix", "record payload extends past EOF")
+        if flipped is not None and start <= flipped < start + len(framed[len(intact)]):
+            if start + len(framed[len(intact)]) <= len(buffer) and flipped >= start + 4:
+                assert frames.torn_reason == CHECKSUM_MISMATCH
 
     def test_failed_append_leaves_no_bytes_behind(self, tmp_path):
         """An unencodable document anywhere in a batch must abort the append
@@ -733,7 +778,10 @@ class TestAppendDocumentParsing:
         "str-among-ints": [4, "hello", 4],
         "none-among-ints": [4, None],
         "negative": [3, -5, 9],
+        "minus-one": [-1],
         "too-wide": [3, 1 << 64],
+        "widest": [(1 << 64) - 1],
+        "negative-among-strs": [4, "hello", -1],
     }
 
     @staticmethod
@@ -744,7 +792,7 @@ class TestAppendDocumentParsing:
             doc = ServeRequestHandler._parse_append_document(
                 None, {"name": "d", "terms": terms}, CONFIG.k, False, 1
             )
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:  # anything else would be a 500 on POST /append
             return type(exc), str(exc)
         codes = doc.term_codes()
         return doc.name, doc.source_format, doc.terms, None if codes is None else codes.tolist()
@@ -763,8 +811,17 @@ class TestAppendDocumentParsing:
             ValueError,
             "document 'd': terms must be integers or strings",
         )
-        assert self.outcome(self.TERM_LISTS["negative"])[0] is OverflowError
-        assert self.outcome(self.TERM_LISTS["too-wide"])[0] is OverflowError
+        assert self.outcome(self.TERM_LISTS["widest"])[3] == [(1 << 64) - 1]
+        # Out-of-range codes are a client error naming the offending term,
+        # raised while parsing — before the engine or its WAL see the batch.
+        for name, bad in (
+            ("negative", -5),
+            ("minus-one", -1),
+            ("too-wide", 1 << 64),
+            ("negative-among-strs", -1),
+        ):
+            kind, message = self.outcome(self.TERM_LISTS[name])
+            assert kind is ValueError and f"term {bad!r} " in message
 
 
 class TestIngestHTTP:
@@ -797,6 +854,33 @@ class TestIngestHTTP:
             + [KmerDocument("mixedhttp", frozenset({45, "word"}), source_format="text")],
         )
         assert_identical(stack.served_index(), reference, range(TERM_UNIVERSE))
+
+    def test_out_of_range_term_is_a_400_on_a_still_framed_connection(self, ingest_server):
+        """A negative or >= 2**64 code used to escape as OverflowError -> 500."""
+        _, port, stack = ingest_server
+        before = stack.engine.stats()
+        snapshot_id = stack.service.snapshots.active.snapshot_id
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            for bad in (-1, 1 << 64):
+                body = json.dumps({"documents": [{"name": "d", "terms": [bad]}]})
+                conn.request("POST", "/append", body=body)
+                response = conn.getresponse()
+                assert response.status == 400
+                assert response.getheader("Connection") != "close"
+                assert f"term {bad!r} " in json.loads(response.read())["error"]
+            # Rejected while parsing: no WAL byte, no delta document, no publish.
+            after = stack.engine.stats()
+            assert after["wal"] == before["wal"] and after["delta"] == before["delta"]
+            assert stack.service.snapshots.active.snapshot_id == snapshot_id
+            # The same socket is still correctly framed and takes a valid append.
+            body = json.dumps({"documents": [{"name": "d", "terms": [(1 << 64) - 1]}]})
+            conn.request("POST", "/append", body=body)
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["appended"] == 1
+        finally:
+            conn.close()
 
     def test_compact_drains_any_body_size_on_keepalive(self, ingest_server, monkeypatch):
         """A /compact body larger than MAX_BODY_BYTES must be drained fully:

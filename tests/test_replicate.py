@@ -16,7 +16,11 @@ suite's structure:
    promote.
 3. ``TestFailoverClient`` / ``TestFaultInjection`` prove the client and
    stream survive injected transport faults (:mod:`faultinject`).
-4. ``ReplicationMachine`` lets Hypothesis interleave all of the above
+4. ``TestGenerationCrashWindows`` stops the generation-directory commit
+   protocol at each boundary and reopens the directory cold — once, for
+   both callers of ``GenerationStore.advance()`` (the primary's
+   ``compact()``, the standby following a compaction).
+5. ``ReplicationMachine`` lets Hypothesis interleave all of the above
    and re-checks the identity after every rule.
 """
 
@@ -24,10 +28,13 @@ from __future__ import annotations
 
 import json
 import shutil
+import struct
 import tempfile
 import time
 import urllib.error
 import urllib.request
+import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +47,17 @@ from hypothesis_profiles import tier
 from repro.core.rambo import Rambo, RamboConfig
 from repro.core.serialization import save_index
 from repro.ingest import IngestEngine
-from repro.ingest.engine import ReplicationLagError
+from repro.ingest import store as store_module
 from repro.ingest.overlay import LiveDelta
-from repro.io.walformat import _RECORD_PREFIX, decode_document, replay_wal_generation
+from repro.ingest.store import GenerationStore, ReplicationLagError
+from repro.io.walformat import (
+    WalWriter,
+    decode_document,
+    encode_document,
+    iter_frames,
+    replay_wal_generation,
+    wal_segment_name,
+)
 from repro.kmers.extraction import KmerDocument
 from repro.replicate import GenerationChanged, ReplicaEngine
 from repro.replicate.replica import ReplicaError
@@ -88,13 +103,9 @@ def wait_until(predicate, timeout: float = 15.0, interval: float = 0.01) -> bool
 
 def decode_stream(data: bytes):
     """Split raw streamed bytes back into documents (re-checking framing)."""
-    documents = []
-    cursor = 0
-    while cursor < len(data):
-        length, _crc = _RECORD_PREFIX.unpack_from(data, cursor)
-        payload = data[cursor + _RECORD_PREFIX.size : cursor + _RECORD_PREFIX.size + length]
-        documents.append(decode_document(payload))
-        cursor += _RECORD_PREFIX.size + length
+    frames = iter_frames(data)
+    documents = [decode_document(data[start:end]) for start, end in frames]
+    assert frames.torn_reason is None and frames.end == len(data)
     return documents
 
 
@@ -181,7 +192,7 @@ class Cluster:
         def caught():
             if self.primary_dead:
                 return False
-            generation, committed = self.primary.replication.position()
+            generation, committed = self.primary.store.position()
             return (
                 self.replica.generation == generation
                 and self.replica.applied >= committed
@@ -220,7 +231,7 @@ class TestReplicationLog:
             for i in range(8):  # one batch per record so the segment rolls
                 docs.extend(cluster.append(cluster.fresh_docs(1, i)))
             replication = cluster.primary.replication
-            generation, committed = replication.position()
+            generation, committed = cluster.primary.store.position()
             assert committed == 8
             assert cluster.primary.stats()["wal"]["segments"] > 1
             for offset in range(committed + 1):
@@ -271,7 +282,7 @@ class TestReplicationLog:
             with pytest.raises(ReplicationLagError):
                 cluster.primary.append(cluster.fresh_docs(1, 10))
             # Catch the peer up: the next append is acknowledged.
-            committed = replication.position()[1]
+            committed = cluster.primary.store.position()[1]
             replication.ack("peer-1", 0, committed + 1)
             cluster.primary.append(cluster.fresh_docs(1, 20))
             # A peer on a LATER generation counts (its snapshot covers us).
@@ -357,7 +368,7 @@ class TestReplicaEngine:
         copy, then plane-set reuse), leave the standby's served index
         bit-identical to the primary's — not only to a rebuild."""
         replica = cluster.start_standby()
-        assert type(replica._delta) is type(cluster.primary._delta) is LiveDelta
+        assert type(replica.store.delta) is type(cluster.primary.store.delta) is LiveDelta
         batches = 6
         for i in range(batches):
             cluster.append(cluster.fresh_docs(2, 10 * i))
@@ -409,7 +420,7 @@ class TestReplicaEngine:
         replica = cluster.start_standby()
         # Resume path: replayed the locally durable records, re-used the
         # local snapshot instead of re-downloading it.
-        assert replica.replayed_documents == 3
+        assert replica.stats()["wal"]["replayed_documents"] == 3
         assert replica.snapshot_fetches == 0
         cluster.wait_caught_up()
         cluster.assert_node_identical(cluster.standby_service)
@@ -444,6 +455,38 @@ class TestReplicaEngine:
             assert client.healthz()["role"] == "primary"
         finally:
             cluster.close()
+
+
+    def test_promote_is_a_role_flip_that_agrees_with_the_disk(self, cluster, monkeypatch):
+        """Promotion hands the *live* store over — no replay, no second delta,
+        no reopened WAL — and what it hands over is what the directory holds:
+        ``kill -9`` the promoted node and a cold recovery answers the same."""
+        replica = cluster.start_standby()
+        cluster.append(cluster.fresh_docs(3, 0))
+        cluster.wait_caught_up()
+        store, delta, wal = replica.store, replica.store.delta, replica.store.wal
+        replays = []
+        monkeypatch.setattr(
+            store_module, "replay_wal_generation", lambda *args, **kw: replays.append(args)
+        )
+        cluster.kill_primary()
+        engine = replica.promote()
+        assert replays == []
+        assert engine.store is store and store.delta is delta and store.wal is wal
+        monkeypatch.undo()
+        docs = cluster.fresh_docs(2, 10)
+        engine.append(docs)
+        cluster.acked.extend(docs)
+        cluster.assert_node_identical(cluster.standby_service)
+        # kill -9: every live object is abandoned as it stands, nothing closed.
+        live = cluster.standby_service.snapshots.active.index
+        snapshot_path = GenerationStore(cluster.standby_wal).committed_snapshot()
+        with QueryService.open(snapshot_path, tick_seconds=0.0) as service:
+            service.attach_ingest(IngestEngine(service, cluster.standby_wal))
+            recovered = service.snapshots.active.index
+            assert recovered.document_names == live.document_names
+            assert_identical(recovered, live, range(TERM_UNIVERSE))
+            cluster.assert_node_identical(service)
 
 
 class TestFailoverClient:
@@ -577,6 +620,154 @@ class TestFaultInjection:
         assert replay is not None and replay.records >= applied_before
         cluster.wait_caught_up()
         cluster.assert_node_identical(cluster.standby_service)
+
+
+class _Crash(Exception):
+    """Raised by a patched store step: the process dies at that boundary."""
+
+
+def _crash(*_args, **_kwargs):
+    raise _Crash("killed at the boundary under test")
+
+
+class TestGenerationCrashWindows:
+    """The commit protocol lives once, in ``GenerationStore``; so does its
+    crash test.  Each case stops the protocol at one boundary, reopens the
+    directory cold and demands served == rebuild of the acknowledged
+    documents (documents and ``filters_probed``) — for the primary, whose
+    ``compact()`` calls ``advance()``, and for a standby, which calls it
+    when it follows that compaction."""
+
+    @pytest.fixture(params=["primary", "standby"])
+    def node(self, request, tmp_path):
+        """``(role, cluster, store)``: three acknowledged documents in
+        generation 0 of the role's store, segments rolling every 256 bytes."""
+        cluster = Cluster(tmp_path, segment_bytes=256)
+        cluster.append(cluster.fresh_docs(3, 0))
+        store = cluster.primary.store
+        if request.param == "standby":
+            store = cluster.start_standby(segment_bytes=256).store
+            cluster.wait_caught_up()
+        yield request.param, cluster, store
+        cluster.close()
+
+    @staticmethod
+    def advance(role, cluster, crashes=False):
+        """One generation advance through the role's ``advance()`` caller."""
+        if role == "primary" and crashes:
+            with pytest.raises(_Crash):
+                cluster.primary.compact()
+            return
+        cluster.primary.compact()
+        if role == "standby":
+            replica = cluster.replica
+            if crashes:
+                assert wait_until(lambda: "_Crash" in str(replica.last_error))
+            else:
+                assert wait_until(lambda: replica.generation == cluster.primary.generation)
+
+    @staticmethod
+    @contextmanager
+    def reopened(role, cluster):
+        """Stop the node, then recover its directory with fresh objects
+        (a standby without its tailer: what is served is what the disk held)."""
+        url = cluster.primary_url
+        if role == "primary":
+            if not cluster.primary_dead:
+                cluster.kill_primary()
+            served = cluster.base_path
+        else:
+            cluster.stop_standby()
+            served = GenerationStore(cluster.standby_wal).committed_snapshot()
+        with QueryService.open(served, tick_seconds=0.0) as service:
+            if role == "primary":
+                engine = IngestEngine(service, cluster.primary_wal, segment_bytes=256)
+            else:
+                engine = ReplicaEngine(service, cluster.standby_wal, url, segment_bytes=256)
+            service.attach_ingest(engine)
+            yield service, engine
+
+    def test_crash_before_the_manifest_recovers_the_old_generation(self, node, monkeypatch):
+        role, cluster, store = node
+        monkeypatch.setattr(store, "write_manifest", _crash)
+        self.advance(role, cluster, crashes=True)  # snapshot-1 installed, WAL 1 open
+        (store.directory / "snapshot-000002.tmp").write_bytes(b"died mid-install")
+        with self.reopened(role, cluster) as (service, engine):
+            assert engine.generation == 0
+            assert engine.stats()["wal"]["replayed_documents"] == 3
+            cluster.assert_node_identical(service)
+            debris = [
+                path.name
+                for path in store.directory.iterdir()
+                if path.suffix == ".tmp" or "-000001" in path.name
+            ]
+            assert debris == []
+
+    def test_crash_after_the_manifest_recovers_the_new_generation(self, node, monkeypatch):
+        role, cluster, store = node
+        monkeypatch.setattr(store.service, "swap", _crash)
+        self.advance(role, cluster, crashes=True)  # committed; nothing swapped or pruned
+        assert (store.directory / wal_segment_name(0)).exists()
+        with self.reopened(role, cluster) as (service, engine):
+            assert engine.generation == 1
+            assert engine.stats()["wal"]["replayed_documents"] == 0
+            assert service.snapshots.active.index.is_mapped
+            cluster.assert_node_identical(service)
+            assert [p.name for p in store.directory.iterdir() if "-000000" in p.name] == []
+
+    def test_torn_tail_in_the_last_segment_is_cut_after_an_advance(self, node):
+        role, cluster, store = node
+        self.advance(role, cluster)
+        for i in range(5):  # one batch per record, so both WALs roll
+            cluster.append(cluster.fresh_docs(1, 10 + i))
+            if role == "standby":
+                cluster.wait_caught_up()
+        assert store.wal.segment_count > 1
+        payload = encode_document(make_doc("torn", [60, 61]))
+        torn = (struct.pack("<II", len(payload), zlib.crc32(payload)) + payload)[:-3]
+        with open(store.wal.path, "ab") as handle:
+            handle.write(torn)  # a crash mid-append: never acknowledged
+        with self.reopened(role, cluster) as (service, engine):
+            wal = engine.stats()["wal"]
+            assert engine.generation == 1
+            assert wal["torn_bytes_truncated"] == len(torn)
+            assert wal["replayed_documents"] == 5
+            cluster.assert_node_identical(service)
+
+    def test_wal_record_of_a_document_the_base_holds_is_skipped(self, node):
+        role, cluster, store = node
+        folded = cluster.acked[-1]  # in snapshot-1 after the advance
+        self.advance(role, cluster)
+        fresh = make_doc("fresh", [33, 34])
+        with WalWriter(store.wal.path, CONFIG, 1) as writer:
+            writer.append([folded, fresh])  # durable, never acknowledged
+        cluster.acked.append(fresh)
+        with self.reopened(role, cluster) as (service, engine):
+            assert engine.store.recovery["replayed_documents"] == 1
+            assert engine.store.recovery["replay_skipped"] == 1
+            cluster.assert_node_identical(service)
+
+    @pytest.mark.parametrize("damage", ["version", "config"])
+    def test_a_manifest_the_store_cannot_trust_is_refused(self, node, damage):
+        """Both roles read the manifest through the store: an unsupported
+        version, or a config that disagrees with the served base, is the
+        same ``ValueError`` on either (the standby used to trust anything)."""
+        role, cluster, store = node
+        manifest_path = store.directory / store_module.MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        if damage == "version":
+            manifest["version"] = 2
+        else:
+            manifest["config"]["seed"] += 1
+        if role == "primary":
+            cluster.kill_primary()
+        else:
+            cluster.stop_standby()
+        manifest_path.write_text(json.dumps(manifest))
+        expected = "unsupported manifest version 2" if damage == "version" else "written for config"
+        with pytest.raises(ValueError, match=expected):
+            with self.reopened(role, cluster):
+                pass
 
 
 term_sets = st.lists(
