@@ -18,7 +18,7 @@ fold-over experiments (Table 4).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -362,12 +362,9 @@ class DistributedRambo(MembershipIndex):
 
     def insertions_per_node(self) -> List[int]:
         """Term-insertion work per node, the quantity that sets the makespan."""
-        work = [0] * self.num_nodes
-        for shard_index, shard in enumerate(self._shards):
-            work[shard_index] = sum(
-                bfu.num_items for row in shard._bfus for bfu in row  # noqa: SLF001
-            ) // max(1, shard.repetitions)
-        return work
+        return [
+            int(shard.insert_counts.sum()) // shard.repetitions for shard in self._shards
+        ]
 
     def __repr__(self) -> str:
         return (
@@ -387,45 +384,22 @@ def stack_shards(distributed: DistributedRambo) -> Rambo:
     """
     node_config = distributed.node_config
     b = node_config.num_partitions
-    total_partitions = distributed.num_nodes * b
-    stacked_config = RamboConfig(
-        num_partitions=total_partitions,
-        repetitions=node_config.repetitions,
-        bfu_bits=node_config.bfu_bits,
-        bfu_hashes=node_config.bfu_hashes,
-        k=node_config.k,
-        seed=node_config.seed,
-    )
-    # Global document id space: concatenate shard documents node by node.
-    doc_names: List[str] = []
-    id_offset_per_node: List[int] = []
-    for shard in distributed.shards:
-        id_offset_per_node.append(len(doc_names))
-        doc_names.extend(shard.document_names)
-
-    repetitions = node_config.repetitions
-    bfus: List[List] = [[None] * total_partitions for _ in range(repetitions)]
-    members: List[List[List[int]]] = [
-        [[] for _ in range(total_partitions)] for _ in range(repetitions)
-    ]
-    assignments: List[List[int]] = [[0] * len(doc_names) for _ in range(repetitions)]
-
-    for node_index, shard in enumerate(distributed.shards):
-        offset = id_offset_per_node[node_index]
-        for r in range(repetitions):
-            for local_b in range(b):
-                global_b = node_index * b + local_b
-                bfus[r][global_b] = shard.bfu(r, local_b).copy()
-                local_members = shard._members[r][local_b]  # noqa: SLF001
-                members[r][global_b] = [offset + doc_id for doc_id in local_members]
-            for local_doc_id, local_assignment in enumerate(shard._assignments[r]):  # noqa: SLF001
-                assignments[r][offset + local_doc_id] = node_index * b + local_assignment
-
-    return Rambo._from_parts(  # noqa: SLF001
-        stacked_config,
-        bfus,
-        doc_names,
-        assignments,
-        members,
-        partition_family=distributed._router.global_family(),  # noqa: SLF001
+    shards = distributed.shards
+    repetitions = range(node_config.repetitions)
+    # Global document id space: shard documents node by node; a document's
+    # stacked partition is its node's block plus its node-local partition.
+    return Rambo.from_planes(
+        replace(node_config, num_partitions=distributed.num_nodes * b),
+        [np.concatenate([shard.planes[r] for shard in shards]) for r in repetitions],
+        [name for shard in shards for name in shard.names],
+        [
+            [
+                node * b + cell
+                for node, shard in enumerate(shards)
+                for cell in shard.assignments[r]
+            ]
+            for r in repetitions
+        ],
+        family=distributed._router.global_family(),  # noqa: SLF001
+        items=np.concatenate([shard.insert_counts for shard in shards], axis=1),
     )

@@ -34,81 +34,57 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.core.executor import parallel_map
-from repro.core.rambo import Rambo, RamboConfig, members_from_assignments
+from repro.core.rambo import Rambo, RamboConfig
 from repro.kmers.extraction import KmerDocument
 
 
 def merge_indexes(parts: Sequence[Rambo]) -> Rambo:
     """Merge partial RAMBO indexes built over disjoint documents.
 
-    All parts must share the same configuration (B, R, BFU geometry, seed) —
-    i.e. have been constructed from the same :class:`RamboConfig` — and no
-    document name may appear in more than one part.  The result is equivalent
-    to having inserted every document into a single index sequentially.
+    All parts must share one :class:`RamboConfig` — B, R, BFU geometry and
+    seed make the bits compatible, ``k`` makes ``query_sequence`` extract the
+    k-mers the documents were indexed with — and no document name may appear
+    in more than one part.  The result is equivalent to having inserted
+    every document into a single index sequentially.
     """
     if not parts:
         raise ValueError("cannot merge an empty list of indexes")
-    first = parts[0]
-    reference = (
-        first.num_partitions,
-        first.repetitions,
-        first.config.bfu_bits,
-        first.config.bfu_hashes,
-        first.config.seed,
-    )
+    config = parts[0].config
     for part in parts[1:]:
-        candidate = (
-            part.num_partitions,
-            part.repetitions,
-            part.config.bfu_bits,
-            part.config.bfu_hashes,
-            part.config.seed,
-        )
-        if candidate != reference:
+        if part.config != config:
             raise ValueError(
-                f"indexes are not mergeable: {candidate} differs from {reference}"
+                f"indexes are not mergeable: {part.config} differs from {config}"
             )
     seen = set()
     for part in parts:
-        for name in part.document_names:
+        for name in part.names:
             if name in seen:
                 raise ValueError(f"document {name!r} appears in more than one partial index")
             seen.add(name)
 
-    repetitions = first.repetitions
-    num_partitions = first.num_partitions
     # BFU merge: one raw OR per part and repetition, straight on the
-    # (B, words) planes (zero-copy for mapped and plane-backed parts) — no
-    # per-filter union loop.  The merged index is built over the
-    # accumulators, so its BFUs are row views of one contiguous block per
-    # repetition: what the batch engine probes and save_index_mmap writes.
+    # (B, words) planes — no per-filter union loop.  The accumulators become
+    # the merged index's planes.
     planes = []
-    for r in range(repetitions):
+    for r in range(config.repetitions):
         accumulator = np.zeros(
-            (num_partitions, first.config.words_per_bfu), dtype=np.uint64
+            (config.num_partitions, config.words_per_bfu), dtype=np.uint64
         )
         for part in parts:
-            np.bitwise_or(accumulator, part._plane(r), out=accumulator)  # noqa: SLF001
+            np.bitwise_or(accumulator, part.planes[r], out=accumulator)
         planes.append(accumulator)
 
     # Document ids are re-assigned part by part, in order.
-    doc_names: List[str] = []
-    assignments: List[List[int]] = [[] for _ in range(repetitions)]
-    for part in parts:
-        doc_names.extend(part.document_names)
-        for r in range(repetitions):
-            assignments[r].extend(part._assignments[r])  # noqa: SLF001
-    merged = Rambo._from_planes(  # noqa: SLF001
-        first.config,
+    return Rambo.from_planes(
+        config,
         planes,
-        doc_names,
-        assignments,
-        members_from_assignments(assignments, num_partitions),
+        [name for part in parts for name in part.names],
+        [
+            [cell for part in parts for cell in part.assignments[r]]
+            for r in range(config.repetitions)
+        ],
+        items=sum(part.insert_counts for part in parts),
     )
-    for r in range(repetitions):
-        for b in range(num_partitions):
-            merged.bfu(r, b).num_items = sum(part.bfu(r, b).num_items for part in parts)
-    return merged
 
 
 def _build_partial(config: RamboConfig, documents: Sequence[KmerDocument]) -> Rambo:

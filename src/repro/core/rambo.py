@@ -29,12 +29,12 @@ per-term form); the batch engine is several times faster on term batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.bloom.bitarray import BitArray, probe_words_batch
+from repro.bloom.bitarray import BitArray, popcount_words, probe_words_batch
 from repro.bloom.bloom_filter import BloomFilter, _normalise_key, optimal_num_bits
 from repro.core.base import (
     MembershipIndex,
@@ -185,25 +185,14 @@ class RamboConfig:
         )
 
 
-def members_from_assignments(
-    assignments: Sequence[Sequence[int]], num_partitions: int
-) -> List[List[List[int]]]:
-    """Invert ``assignments[r][doc_id]`` into ``members[r][b]`` lists.
-
-    ``members[r][b]`` holds the doc ids assigned to BFU ``(r, b)``, ascending
-    — the inverse map every index keeps beside its assignment table.
-    """
-    members: List[List[List[int]]] = [
-        [[] for _ in range(num_partitions)] for _ in assignments
-    ]
-    for row, assignment in zip(members, assignments):
-        for doc_id, b in enumerate(assignment):
-            row[b].append(doc_id)
-    return members
-
-
 class Rambo(MembershipIndex):
     """Repeated And Merged Bloom Filter index.
+
+    One in-memory layout (docs/ARCHITECTURE.md, "Index layout"): ``R``
+    ``(B, words)`` ``uint64`` bit planes whose row ``b`` is BFU ``(r, b)``,
+    an ``(R, B)`` insert-count array, the document-name table and the
+    ``assignments[r][doc_id]`` partition table.  Everything else a query
+    reads is derived from those lazily.
 
     Parameters
     ----------
@@ -221,56 +210,84 @@ class Rambo(MembershipIndex):
         config: RamboConfig,
         partition_family: Optional[PartitionHashFamily] = None,
     ) -> None:
-        self.config = config
-        self.k = config.k
-        if partition_family is None:
-            partition_family = PartitionHashFamily(
+        planes = [
+            np.zeros((config.num_partitions, config.words_per_bfu), dtype=np.uint64)
+            for _ in range(config.repetitions)
+        ]
+        assignments: List[List[int]] = [[] for _ in planes]
+        self._adopt(config, planes, [], assignments, partition_family, None)
+
+    @classmethod
+    def from_planes(
+        cls,
+        config: RamboConfig,
+        planes: Sequence[np.ndarray],
+        names: List[str],
+        assignments: List[List[int]],
+        *,
+        family: Optional[PartitionHashFamily] = None,
+        items: Optional[np.ndarray] = None,
+    ) -> "Rambo":
+        """Assemble an index over existing bit planes, adopting every argument.
+
+        The constructor behind :meth:`fold`, merging, shard stacking and
+        both container formats.  *planes* are the ``R`` ``(B, words)``
+        ``uint64`` payload matrices — process memory or a file mapping,
+        writable or not — and are used as they are: ``add_documents``
+        scatters straight into them and the batch engine gathers from them.
+        *names* and *assignments* (``assignments[r][doc_id]`` in ``[0, B)``)
+        are kept, not copied; *items* is the ``(R, B)`` insert-count array
+        (zeros when omitted — the containers do not persist it) and
+        *family* the partition hash family (seed-derived when omitted).
+
+        Raises :class:`ValueError` when the planes or tables do not have the
+        config's geometry.
+        """
+        shape = (config.num_partitions, config.words_per_bfu)
+        if len(planes) != config.repetitions or any(
+            plane.shape != shape or plane.dtype != np.uint64 for plane in planes
+        ):
+            raise ValueError(
+                f"expected {config.repetitions} uint64 planes of shape {shape}"
+            )
+        if len(assignments) != config.repetitions or any(
+            len(row) != len(names) for row in assignments
+        ):
+            raise ValueError("assignment tables do not match the name table")
+        index = cls.__new__(cls)
+        index._adopt(config, planes, names, assignments, family, items)
+        return index
+
+    def _adopt(self, config, planes, names, assignments, family, items) -> None:
+        """The one place an index's storage is set (see :meth:`from_planes`)."""
+        if family is None:
+            family = PartitionHashFamily(
                 num_partitions=config.num_partitions,
                 repetitions=config.repetitions,
                 seed=config.seed,
             )
-        if partition_family.repetitions != config.repetitions:
+        if family.repetitions != config.repetitions:
             raise ValueError(
                 "partition family repetitions "
-                f"({partition_family.repetitions}) != config repetitions ({config.repetitions})"
+                f"({family.repetitions}) != config repetitions ({config.repetitions})"
             )
-        self._family = partition_family
-        # BFU grid: _bfus[r][b]
-        self._bfus: List[List[BloomFilter]] = [
-            [
-                BloomFilter(
-                    num_bits=config.bfu_bits,
-                    num_hashes=config.bfu_hashes,
-                    seed=combine_seeds(config.seed, 0xBF0),
-                )
-                for _ in range(config.num_partitions)
-            ]
-            for _ in range(config.repetitions)
-        ]
-        # Document bookkeeping.
-        self._doc_names: List[str] = []
-        self._doc_ids: Dict[str, int] = {}
-        # _assignments[r][doc_id] = partition index of that doc in repetition r.
-        self._assignments: List[List[int]] = [[] for _ in range(config.repetitions)]
-        # _members[r][b] = doc ids assigned to BFU (r, b).
-        self._members: List[List[List[int]]] = [
-            [[] for _ in range(config.num_partitions)] for _ in range(config.repetitions)
-        ]
-        # Per-repetition (B, words) planes the BFUs are row views of (see
-        # _from_planes); None while every BFU owns its words.  _mapped says
-        # the planes are a memory-mapped file rather than process memory.
-        self._planes: Optional[List[np.ndarray]] = None
-        self._mapped = False
+        if items is None:
+            items = np.zeros((config.repetitions, config.num_partitions), dtype=np.int64)
+        self.config = config
+        self.k = config.k
+        self._family = family
+        self._planes = list(planes)
+        self._items = items
+        self._doc_names = names
+        # name -> doc id, built on first use (see _ids): only inserts and
+        # ``in`` read it, so opening or publishing an index never pays for it.
+        self._doc_ids: Optional[Dict[str, int]] = None
+        self._assignments = assignments
         self._invalidate_caches()
 
     def _invalidate_caches(self) -> None:
         """Reset every lazily-built query-acceleration structure."""
         self._member_arrays_dirty = True
-        # Per-repetition (B, words) view of the BFU bits; because every BFU
-        # shares size, hash count and seed, one term's probe positions are the
-        # same in every BFU, so membership across all B filters is a handful
-        # of vectorised gathers on this matrix.
-        self._bit_cache: List[np.ndarray] = []
         # Per-repetition (num_documents,) doc-id -> partition arrays.
         self._assignment_arrays: List[np.ndarray] = []
         # The batch engine's view: repetition 0's partition -> documents map
@@ -279,106 +296,68 @@ class Rambo(MembershipIndex):
         # doc id -> name table as an object array.
         self._member_order = self._member_offsets = self._name_array = None
 
-    @classmethod
-    def _from_parts(
-        cls,
-        config: RamboConfig,
-        bfus: List[List[BloomFilter]],
-        doc_names: List[str],
-        assignments: List[List[int]],
-        members: List[List[List[int]]],
-        partition_family: Optional[PartitionHashFamily] = None,
-    ) -> "Rambo":
-        """Assemble an index directly from its components.
+    # -- storage accessors ------------------------------------------------------------
 
-        This is the single internal constructor behind :meth:`fold`,
-        :func:`repro.core.parallel.merge_indexes`, shard stacking and
-        deserialisation — every path that used to poke attributes onto a bare
-        ``__new__`` instance (and could miss a cache field) goes through here,
-        so all derived state is initialised consistently.
-        """
-        index = cls.__new__(cls)
-        index.config = config
-        index.k = config.k
-        if partition_family is None:
-            partition_family = PartitionHashFamily(
-                num_partitions=config.num_partitions,
-                repetitions=config.repetitions,
-                seed=config.seed,
-            )
-        index._family = partition_family
-        index._bfus = bfus
-        index._doc_names = list(doc_names)
-        index._doc_ids = {name: i for i, name in enumerate(doc_names)}
-        index._assignments = assignments
-        index._members = members
-        index._planes = None
-        index._mapped = False
-        index._invalidate_caches()
-        return index
+    @property
+    def planes(self) -> List[np.ndarray]:
+        """The ``R`` ``(B, words)`` bit planes — the payload itself, not a copy."""
+        return self._planes
 
-    @classmethod
-    def _from_planes(
-        cls,
-        config: RamboConfig,
-        planes: Sequence[np.ndarray],
-        doc_names: List[str],
-        assignments: List[List[int]],
-        members: List[List[List[int]]],
-        mapped: bool = False,
-    ) -> "Rambo":
-        """Assemble an index over per-repetition ``(B, words)`` bit planes.
+    @property
+    def insert_counts(self) -> np.ndarray:
+        """``(R, B)`` terms inserted per BFU (a build-side statistic, not persisted)."""
+        return self._items
 
-        Every BFU wraps one row of its repetition's plane, so the planes
-        *are* the payload: ``set_many`` scatters straight into them and the
-        batch engine gathers from them with no per-BFU restacking.  This is
-        the layout behind the mmap container (``mapped=True``: the planes
-        are a file mapping, possibly read-only), merged indexes, and the
-        streaming-ingest delta, whose planes are ordinary writable memory.
-        """
-        bfu_seed = combine_seeds(config.seed, 0xBF0)
-        bfus = [
-            [
-                BloomFilter.from_parts(
-                    config.bfu_bits,
-                    config.bfu_hashes,
-                    bfu_seed,
-                    BitArray(config.bfu_bits, row),
-                )
-                for row in plane
-            ]
-            for plane in planes
-        ]
-        index = cls._from_parts(config, bfus, doc_names, assignments, members)
-        index._planes = list(planes)
-        index._mapped = mapped
-        return index
+    @property
+    def names(self) -> List[str]:
+        """The document-name table itself; :attr:`document_names` is the copy."""
+        return self._doc_names
+
+    @property
+    def assignments(self) -> List[List[int]]:
+        """``assignments[r][doc_id]``: the document's partition in repetition ``r``."""
+        return self._assignments
+
+    def _ids(self) -> Dict[str, int]:
+        if self._doc_ids is None:
+            self._doc_ids = {name: i for i, name in enumerate(self._doc_names)}
+        return self._doc_ids
 
     # -- construction -----------------------------------------------------------------
 
     @property
     def num_partitions(self) -> int:
         """Current number of partitions ``B`` (halves after each fold)."""
-        return len(self._bfus[0])
+        return self.config.num_partitions
 
     @property
     def repetitions(self) -> int:
         """Number of repetitions ``R``."""
-        return len(self._bfus)
+        return self.config.repetitions
 
     @property
     def document_names(self) -> List[str]:
         """Names of the indexed documents, in insertion order."""
         return list(self._doc_names)
 
+    @property
+    def num_documents(self) -> int:
+        """Number of indexed documents ``K``."""
+        return len(self._doc_names)
+
     def __contains__(self, name: str) -> bool:
         """Whether a document called *name* is indexed."""
-        return name in self._doc_ids
+        return name in self._ids()
 
     @property
     def is_mapped(self) -> bool:
         """Whether the BFU payload is served from a memory-mapped file."""
-        return self._mapped
+        owner = self._planes[0]
+        while isinstance(owner, np.ndarray):  # row views -> ... -> the np.memmap
+            if isinstance(owner, np.memmap):
+                return True
+            owner = owner.base
+        return False
 
     @property
     def readonly(self) -> bool:
@@ -390,9 +369,7 @@ class Rambo(MembershipIndex):
         (``mode="c"``) is writable; its mutations live in anonymous memory
         and are never written back to the file.
         """
-        return self._planes is not None and not bool(
-            self._planes[0].flags.writeable
-        )
+        return not self._planes[0].flags.writeable
 
     def _require_writable(self) -> None:
         if self.readonly:
@@ -440,7 +417,8 @@ class Rambo(MembershipIndex):
         primitive: Bloom bits OR together and the bookkeeping concatenates
         with re-based doc ids, so the outcome is bit-identical to the
         sequential insert.  Memory-mapped indexes always insert inline
-        (their BFU payloads alias mapped planes a partial cannot produce).
+        (ORing whole partial planes into a copy-on-write mapping would
+        dirty every page of the file).
 
         Bit-identical to inserting the documents one at a time through the
         scalar reference path (:meth:`add_document_scalar`): OR-scatter order
@@ -455,7 +433,7 @@ class Rambo(MembershipIndex):
         batch_names = set()
         prepared = []
         for doc in docs:
-            if doc.name in self._doc_ids or doc.name in batch_names:
+            if doc.name in self or doc.name in batch_names:
                 raise ValueError(f"document {doc.name!r} already indexed")
             batch_names.add(doc.name)
             prepared.append((doc, doc.validated_hash_keys() if len(doc) else None))
@@ -465,22 +443,28 @@ class Rambo(MembershipIndex):
                 self._add_documents_sharded(docs, ranges)
                 return
         for doc, keys in prepared:
-            doc_id = len(self._doc_names)
-            self._doc_names.append(doc.name)
-            self._doc_ids[doc.name] = doc_id
-            target_bfus = []
-            for r in range(self.repetitions):
-                b = self._partition_of(doc.name, r)
-                self._assignments[r].append(b)
-                self._members[r][b].append(doc_id)
-                target_bfus.append(self._bfus[r][b])
+            cells = self._register(doc.name)
             if keys is not None:
-                num_terms = len(doc)
                 flat_positions = self._probe_matrix(keys).ravel()
-                for bfu in target_bfus:
-                    bfu.bits.set_many(flat_positions)
-                    bfu.num_items += num_terms
+                for r, b in cells:
+                    self._bits(r, b).set_many(flat_positions)
+                    self._items[r, b] += len(doc)
         self._invalidate_caches()
+
+    def _register(self, name: str) -> List[tuple]:
+        """Record a new document; returns its ``R`` BFU cells ``(r, b)``."""
+        self._ids()[name] = len(self._doc_names)
+        self._doc_names.append(name)
+        cells = []
+        for r, row in enumerate(self._assignments):
+            b = self._partition_of(name, r)
+            row.append(b)
+            cells.append((r, b))
+        return cells
+
+    def _bits(self, repetition: int, partition: int) -> BitArray:
+        """Row ``partition`` of a plane as a :class:`BitArray` over the same words."""
+        return BitArray(self.config.bfu_bits, self._planes[repetition][partition])
 
     def _add_documents_sharded(
         self, docs: List[KmerDocument], ranges: List[tuple]
@@ -490,33 +474,26 @@ class Rambo(MembershipIndex):
         Every chunk builds a fresh partial index against the *shared*
         partition family (hash families are immutable, so concurrent reads
         are safe) on the executor pool; the caller has already validated
-        names and keys.  Absorption is sequential and in-place: partial BFU
-        bits OR into the live BFUs (order-independent), ``num_items`` sums,
-        and the bookkeeping extends with doc ids re-based to the live index
-        — the same algebra :func:`repro.core.parallel.merge_indexes` applies
-        to whole indexes, without materialising a merged copy.  Chunks are
-        absorbed in input order, so doc ids come out exactly as a sequential
-        insert would assign them.
+        names and keys.  Absorption is sequential and in-place: a partial's
+        planes OR into the live planes (order-independent), the insert
+        counts sum, and the name and assignment tables extend — the same
+        algebra :func:`repro.core.parallel.merge_indexes` applies to whole
+        indexes, without materialising a merged copy.  Chunks are absorbed
+        in input order, so doc ids come out exactly as a sequential insert
+        would assign them.
         """
         partials = parallel_map(
             lambda span: self._build_partial_chunk(docs[span[0] : span[1]]), ranges
         )
+        ids = self._ids()
         for partial in partials:
-            offset = len(self._doc_names)
-            for name in partial._doc_names:
-                self._doc_ids[name] = len(self._doc_names)
+            for name in partial.names:
+                ids[name] = len(self._doc_names)
                 self._doc_names.append(name)
-            for r in range(self.repetitions):
-                self._assignments[r].extend(partial._assignments[r])
-                for b in range(self.num_partitions):
-                    chunk_members = partial._members[r][b]
-                    if chunk_members:
-                        self._members[r][b].extend(offset + i for i in chunk_members)
-                    source = partial._bfus[r][b]
-                    if source.num_items:
-                        target = self._bfus[r][b]
-                        target.bits |= source.bits
-                        target.num_items += source.num_items
+            for r, plane in enumerate(self._planes):
+                self._assignments[r].extend(partial.assignments[r])
+                np.bitwise_or(plane, partial.planes[r], out=plane)
+            self._items += partial.insert_counts
         self._invalidate_caches()
 
     def _build_partial_chunk(self, docs: List[KmerDocument]) -> "Rambo":
@@ -534,22 +511,16 @@ class Rambo(MembershipIndex):
         (term, BFU) pair.  Must stay bit-identical to :meth:`add_document`.
         """
         self._require_writable()
-        if document.name in self._doc_ids:
+        if document.name in self:
             raise ValueError(f"document {document.name!r} already indexed")
-        doc_id = len(self._doc_names)
-        self._doc_names.append(document.name)
-        self._doc_ids[document.name] = doc_id
-        target_bfus = []
-        for r in range(self.repetitions):
-            b = self._partition_of(document.name, r)
-            self._assignments[r].append(b)
-            self._members[r][b].append(doc_id)
-            target_bfus.append(self._bfus[r][b])
+        cells = self._register(document.name)
+        targets = [self._bits(r, b) for r, b in cells]
         for term in document.terms:
             positions = self._probe_positions(term)
-            for bfu in target_bfus:
-                bfu.bits.set_many(positions)
-                bfu.num_items += 1
+            for bits in targets:
+                bits.set_many(positions)
+        for r, b in cells:
+            self._items[r, b] += len(document.terms)
         self._invalidate_caches()
 
     def add_terms(self, name: str, terms: Union[Iterable[Term], np.ndarray]) -> None:
@@ -568,10 +539,8 @@ class Rambo(MembershipIndex):
     def _refresh_member_arrays(self) -> None:
         if not self._member_arrays_dirty:
             return
-        self._bit_cache = self._stacked_planes()
         self._assignment_arrays = [
-            np.asarray(row, dtype=np.int64) % self.num_partitions
-            for row in self._assignments
+            np.asarray(row, dtype=np.int64) for row in self._assignments
         ]
         first = self._assignment_arrays[0]
         self._member_order = np.argsort(first, kind="stable")
@@ -580,21 +549,6 @@ class Rambo(MembershipIndex):
         )
         self._name_array = np.array(self._doc_names, dtype=object)
         self._member_arrays_dirty = False
-
-    def _plane(self, repetition: int) -> np.ndarray:
-        """The ``(B, words)`` payload of one repetition.
-
-        Zero-copy for a plane-backed index (:meth:`_from_planes`: the batch
-        engine then gathers straight from the mapping or the live planes);
-        a fresh stack of the BFUs' words otherwise.
-        """
-        if self._planes is not None:
-            return self._planes[repetition]
-        return np.stack([bfu.bits.words for bfu in self._bfus[repetition]])
-
-    def _stacked_planes(self) -> list:
-        """Per-repetition ``(B, words)`` payload :func:`probe_words_batch` reads."""
-        return [self._plane(r) for r in range(self.repetitions)]
 
     def _probe_positions(self, term: Term) -> List[int]:
         """Probe positions of *term*, valid for every BFU (shared size/seed)."""
@@ -626,11 +580,16 @@ class Rambo(MembershipIndex):
         logic to harden and keep in sync, not two.
         """
         row = np.asarray(positions, dtype=np.int64)[None, :]
-        return np.flatnonzero(probe_words_batch(self._bit_cache[repetition], row)[0])
+        return np.flatnonzero(probe_words_batch(self._planes[repetition], row)[0])
 
     def _hit_matrix(self, repetition: int, positions: np.ndarray) -> np.ndarray:
-        """``(n_terms, B)`` membership verdict of every term against every BFU."""
-        return probe_words_batch(self._bit_cache[repetition], positions)
+        """``(n_terms, B)`` membership verdict of every term against every BFU.
+
+        Because every BFU shares size, hash count and seed, a term's probe
+        positions are the same in all of them, so membership across the
+        ``B`` filters is a handful of vectorised gathers on the plane.
+        """
+        return probe_words_batch(self._planes[repetition], positions)
 
     def _candidate_mask(self, hit_partitions: Iterable[int], repetition: int) -> np.ndarray:
         """Bitmap (bool array over doc ids) of the union of the hit BFUs' documents."""
@@ -680,7 +639,6 @@ class Rambo(MembershipIndex):
                 candidate_partitions = np.arange(self.num_partitions, dtype=np.int64)
             else:
                 surviving_ids = np.flatnonzero(final_mask)
-                # _assignment_arrays is already reduced mod num_partitions.
                 assignments = self._assignment_arrays[r]
                 candidate_partitions = np.unique(assignments[surviving_ids])
             probes += int(candidate_partitions.size)
@@ -924,38 +882,16 @@ class Rambo(MembershipIndex):
                 f"cannot fold an index with an odd number of partitions ({self.num_partitions})"
             )
         half = self.num_partitions // 2
-        folded_config = RamboConfig(
-            num_partitions=half,
-            repetitions=self.config.repetitions,
-            bfu_bits=self.config.bfu_bits,
-            bfu_hashes=self.config.bfu_hashes,
-            k=self.config.k,
-            seed=self.config.seed,
-        )
-        bfus: List[List[BloomFilter]] = []
-        members: List[List[List[int]]] = []
-        assignments: List[List[int]] = []
-        for r in range(self.repetitions):
-            row_bfus: List[BloomFilter] = []
-            row_members: List[List[int]] = []
-            for b in range(half):
-                merged = self._bfus[r][b].copy()
-                merged.union_inplace(self._bfus[r][b + half])
-                row_bfus.append(merged)
-                row_members.append(sorted(self._members[r][b] + self._members[r][b + half]))
-            bfus.append(row_bfus)
-            members.append(row_members)
-            assignments.append([a % half for a in self._assignments[r]])
         # The folded index keeps the *original* partition family: new
         # insertions reduce its output mod the folded B, exactly like the
-        # re-mapped assignments above.
-        return Rambo._from_parts(
-            folded_config,
-            bfus,
-            self.document_names,
-            assignments,
-            members,
-            partition_family=self._family,
+        # re-mapped assignments.
+        return Rambo.from_planes(
+            replace(self.config, num_partitions=half),
+            [plane[:half] | plane[half:] for plane in self._planes],
+            list(self._doc_names),
+            [[cell % half for cell in row] for row in self._assignments],
+            family=self._family,
+            items=self._items[:, :half] + self._items[:, half:],
         )
 
     # -- persistence --------------------------------------------------------------------
@@ -997,32 +933,46 @@ class Rambo(MembershipIndex):
         Mirrors the paper's convention that the reported size includes the
         auxiliary inverted map from buckets to documents.
         """
-        bfu_bytes = sum(bfu.size_in_bytes() for row in self._bfus for bfu in row)
-        # Each (repetition, doc) assignment is one 4-byte bucket id; each
-        # document name is stored once.
-        assignment_bytes = 4 * self.repetitions * len(self._doc_names)
-        name_bytes = sum(len(name.encode("utf-8")) for name in self._doc_names)
-        return bfu_bytes + assignment_bytes + name_bytes
+        return sum(self.size_components().values())
 
     def size_components(self) -> Dict[str, int]:
         """Byte count per component (used by the size-report utilities)."""
         return {
-            "bfus": sum(bfu.size_in_bytes() for row in self._bfus for bfu in row),
+            "bfus": 8 * self.repetitions * self.num_partitions * self.config.words_per_bfu,
+            # Each (repetition, doc) assignment is one 4-byte bucket id; each
+            # document name is stored once.
             "assignments": 4 * self.repetitions * len(self._doc_names),
             "names": sum(len(name.encode("utf-8")) for name in self._doc_names),
         }
 
     def fill_ratios(self) -> List[List[float]]:
         """Per-BFU fill ratios, ``[repetition][partition]`` (diagnostics)."""
-        return [[bfu.fill_ratio() for bfu in row] for row in self._bfus]
+        bits = self.config.bfu_bits
+        return [[popcount_words(row) / bits for row in plane] for plane in self._planes]
 
     def bfu(self, repetition: int, partition: int) -> BloomFilter:
-        """Direct access to one BFU (used by fold/stack machinery and tests)."""
-        return self._bfus[repetition][partition]
+        """BFU ``(repetition, partition)`` as a :class:`BloomFilter` *view*.
+
+        Built on demand over row ``partition`` of the repetition's plane:
+        ``.bits.words`` shares memory with what the query kernels probe, so
+        editing the bits edits the index.  ``num_items`` is the insert count
+        at the time of the call; assigning it changes only the view.
+        """
+        return BloomFilter.from_parts(
+            self.config.bfu_bits,
+            self.config.bfu_hashes,
+            combine_seeds(self.config.seed, 0xBF0),
+            self._bits(repetition, partition),
+            num_items=int(self._items[repetition, partition]),
+        )
 
     def partition_members(self, repetition: int, partition: int) -> List[str]:
         """Names of the documents merged into BFU ``(repetition, partition)``."""
-        return [self._doc_names[i] for i in self._members[repetition][partition]]
+        return [
+            name
+            for name, cell in zip(self._doc_names, self._assignments[repetition])
+            if cell == partition
+        ]
 
     def __repr__(self) -> str:
         return (

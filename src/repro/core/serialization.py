@@ -7,14 +7,14 @@ serialized without losing the properties that make merging and folding legal —
 the hash seeds, the BFU geometry and the bucket → document mapping.
 
 Two on-disk formats share one logical header (config, document names,
-per-repetition assignments — everything needed to reconstruct the partition
-bookkeeping, with member lists re-derived on open so the file stays compact):
+per-repetition assignments) and one payload: the index's ``R`` bit planes,
+byte for byte, in ``(repetition, partition)`` order:
 
 **v1** (``RAMBO1`` magic): a JSON header prefixed by its byte length,
 followed by the raw little-endian ``uint64`` words of every BFU in
 ``(repetition, partition)`` order.  :func:`load_index` reads the whole
-payload into fresh in-memory arrays — simple, portable, and the right choice
-for indexes that will keep growing after the load.
+payload into process memory — simple, portable, and the right choice for
+indexes that will keep growing after the load.
 
 **mmap / v2** (``RAMBO2`` magic, :mod:`repro.io.diskformat`): the same
 metadata, but the BFU words are laid out as one contiguous
@@ -37,10 +37,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.bloom.bitarray import BitArray
-from repro.bloom.bloom_filter import BloomFilter
-from repro.core.rambo import Rambo, RamboConfig, members_from_assignments
-from repro.hashing.murmur3 import combine_seeds
+from repro.core.rambo import Rambo, RamboConfig
 from repro.io.diskformat import (
     MAGIC_V2,
     DiskFormatError,
@@ -62,23 +59,32 @@ def _index_header(index: Rambo) -> Dict:
     """The logical header shared by both on-disk formats.
 
     Carries the config, the document-name table and the per-repetition
-    partition assignments; member lists are re-derived from the assignments
-    on open, so no membership data is duplicated on disk.
+    partition assignments.
     """
     config = index.config
     return {
         "config": config.to_dict(),
         "original_num_partitions": config.num_partitions,
-        "document_names": index.document_names,
-        "assignments": [list(row) for row in index._assignments],  # noqa: SLF001
+        "document_names": index.names,
+        "assignments": index.assignments,
         "custom_partition_family": not _uses_default_family(index),
     }
 
 
+def _own_planes(index: Rambo) -> List[np.ndarray]:
+    """The planes of an index that has planes of its own to write."""
+    if not all(isinstance(plane, np.ndarray) for plane in index.planes):
+        raise ValueError(
+            "a delta overlay holds no plane of its own to save; "
+            "compact base+delta into a snapshot"
+        )
+    return index.planes
+
+
 def _restore_bookkeeping(
     header: Dict, path: Path
-) -> Tuple[RamboConfig, List[str], List[List[int]], List[List[List[int]]]]:
-    """Validate a header and rebuild ``(config, names, assignments, members)``.
+) -> Tuple[RamboConfig, List[str], List[List[int]]]:
+    """Validate a header and return its ``(config, names, assignments)``.
 
     Raises :class:`ValueError` on inconsistent assignment tables or
     out-of-range partition ids — the header-side integrity checks shared by
@@ -94,8 +100,7 @@ def _restore_bookkeeping(
     bad = [b for row in assignments for b in row if not (0 <= b < config.num_partitions)]
     if bad:
         raise ValueError(f"{path} has an out-of-range partition assignment {bad[0]}")
-    members = members_from_assignments(assignments, config.num_partitions)
-    return config, list(names), [list(row) for row in assignments], members
+    return config, names, assignments
 
 
 def save_index(index: Rambo, path: PathLike, format: str = "v1", metadata=None) -> int:
@@ -136,25 +141,29 @@ def save_index(index: Rambo, path: PathLike, format: str = "v1", metadata=None) 
         header["metadata_sidecar"] = sidecar_name
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
 
+    planes = _own_planes(index)
     path = Path(path)
     with open(path, "wb") as handle:
         handle.write(_MAGIC)
         handle.write(len(header_bytes).to_bytes(8, "little"))
         handle.write(header_bytes)
-        for r in range(index.repetitions):
-            for b in range(index.num_partitions):
-                handle.write(index.bfu(r, b).bits.to_bytes())
+        # tofile writes through the fd, so flush the buffered prelude first.
+        handle.flush()
+        for plane in planes:
+            plane.tofile(handle)
     return path.stat().st_size
 
 
 def load_index(path: PathLike) -> Rambo:
     """Load a v1 index previously written by :func:`save_index` into memory.
 
-    Raises :class:`ValueError` on wrong magic, version or truncated payloads;
-    a v2 (mmap) file is rejected with a pointer to :func:`open_index` /
+    Raises :class:`ValueError` on wrong magic, version, a header length that
+    runs past the end of the file, or truncated payloads; a v2 (mmap) file
+    is rejected with a pointer to :func:`open_index` /
     :func:`open_index_mmap`.
     """
     path = Path(path)
+    file_size = path.stat().st_size
     with open(path, "rb") as handle:
         magic = handle.read(len(_MAGIC))
         if magic == MAGIC_V2:
@@ -165,6 +174,8 @@ def load_index(path: PathLike) -> Rambo:
         if magic != _MAGIC:
             raise ValueError(f"{path} is not a RAMBO index file (bad magic {magic!r})")
         header_len = int.from_bytes(handle.read(8), "little")
+        if handle.tell() + header_len > file_size:
+            raise ValueError(f"{path} is truncated (header extends past EOF)")
         try:
             header = json.loads(handle.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -172,64 +183,39 @@ def load_index(path: PathLike) -> Rambo:
         if header.get("format_version") != 1:
             raise ValueError(f"unsupported format version {header.get('format_version')!r}")
 
-        config, names, assignments, members = _restore_bookkeeping(header, path)
-
-        # Restore the BFU payloads.
-        bfu_seed = combine_seeds(config.seed, 0xBF0)
-        bytes_per_bfu = config.words_per_bfu * 8
-        bfus = []
-        for r in range(config.repetitions):
-            row_bfus = []
-            for b in range(config.num_partitions):
-                payload = handle.read(bytes_per_bfu)
-                if len(payload) != bytes_per_bfu:
-                    raise ValueError(f"{path} is truncated (BFU {r},{b})")
-                row_bfus.append(
-                    BloomFilter.from_parts(
-                        config.bfu_bits,
-                        config.bfu_hashes,
-                        bfu_seed,
-                        BitArray.from_bytes(config.bfu_bits, payload),
-                    )
-                )
-            bfus.append(row_bfus)
-        trailing = handle.read(1)
-        if trailing:
+        config, names, assignments = _restore_bookkeeping(header, path)
+        # Checked against the file before anything is allocated, like the header.
+        count = config.repetitions * config.num_partitions * config.words_per_bfu
+        remaining = file_size - handle.tell()
+        if remaining < 8 * count:
+            raise ValueError(f"{path} is truncated (BFU payload)")
+        if remaining > 8 * count:
             raise ValueError(f"{path} has trailing data after the BFU payload")
-
-    return Rambo._from_parts(config, bfus, names, assignments, members)  # noqa: SLF001
+        words = np.fromfile(handle, dtype=np.uint64, count=count)
+    planes = words.reshape(config.repetitions, config.num_partitions, -1)
+    return Rambo.from_planes(config, list(planes), names, assignments)
 
 
 def save_index_mmap(index: Rambo, path: PathLike, sidecar_name: Optional[str] = None) -> int:
     """Write *index* in the v2 container for zero-copy serving.
 
-    The BFU words are stacked into one contiguous
-    ``(repetitions, partitions, words_per_bfu)`` block — the exact matrix
-    shape the batched query engine gathers over, so an opened index serves
-    straight from the mapping with no per-BFU reassembly.  Returns the
-    number of bytes written.
+    The planes are stacked into one contiguous
+    ``(repetitions, partitions, words_per_bfu)`` block — the one copy a save
+    makes — so an opened index serves straight from the mapping.  Returns
+    the number of bytes written.
     """
     header = dict(_index_header(index))
     header["kind"] = "rambo"
     if sidecar_name is not None:
         header["metadata_sidecar"] = sidecar_name
-    payload = np.empty(
-        (index.repetitions, index.num_partitions, index.config.words_per_bfu),
-        dtype=np.uint64,
-    )
-    # One repetition at a time: a BFU-backed index stacks a plane-sized
-    # temporary per repetition, never a second copy of the whole payload.
-    for r in range(index.repetitions):
-        payload[r] = index._plane(r)  # noqa: SLF001
-    return write_container(path, header, payload)
+    return write_container(path, header, np.stack(_own_planes(index)))
 
 
 def open_index_mmap(path: PathLike, mode: str = "r") -> Rambo:
     """Open a v2 index by mapping its payload instead of reading it.
 
-    Only the header is read; every BFU's :class:`BitArray` wraps a view of
-    one shared ``np.memmap``, and the per-repetition ``(partitions, words)``
-    planes are installed directly as the batch engine's bit cache, so
+    Only the header is read; the per-repetition ``(partitions, words)``
+    slices of one shared ``np.memmap`` become the index's planes, so
     ``probe_words_batch`` / ``query_terms_batch`` gather straight from the
     page cache.
 
@@ -255,7 +241,7 @@ def open_index_mmap(path: PathLike, mode: str = "r") -> Rambo:
         raise DiskFormatError(
             f"{path} holds a {header.get('kind')!r} index, not a RAMBO index"
         )
-    config, names, assignments, members = _restore_bookkeeping(header, path)
+    config, names, assignments = _restore_bookkeeping(header, path)
     expected_shape = (config.repetitions, config.num_partitions, config.words_per_bfu)
     shape = tuple(header["payload"]["shape"])
     if shape != expected_shape:
@@ -264,12 +250,9 @@ def open_index_mmap(path: PathLike, mode: str = "r") -> Rambo:
             f"{expected_shape}"
         )
     # A plain ndarray view over the mapping: same buffer, same writeability,
-    # but slicing it skips np.memmap's per-view subclass machinery — with
-    # thousands of BFUs that overhead would dominate the open time.
+    # but slicing it skips np.memmap's per-view subclass machinery.
     mapped = np.asarray(map_container_payload(path, header, payload_offset, mode=mode))
-    return Rambo._from_planes(  # noqa: SLF001
-        config, list(mapped), names, assignments, members, mapped=True
-    )
+    return Rambo.from_planes(config, list(mapped), names, assignments)
 
 
 def open_index(path: PathLike, mode: str = "r") -> Rambo:

@@ -31,14 +31,13 @@ reader still leases — rather than trusting the argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.bloom.bitarray import popcount_words
 from repro.core.parallel import merge_indexes
-from repro.core.rambo import Rambo, RamboConfig, members_from_assignments
+from repro.core.rambo import Rambo, RamboConfig
 from repro.kmers.extraction import KmerDocument
 
 
@@ -52,23 +51,19 @@ class DeltaOverlayIndex(Rambo):
         :class:`Rambo` works.  Not copied; its bit planes are referenced
         (zero-copy for a mapped base).
     delta:
-        The index holding the documents appended since.  Its names and
-        assignments are copied and its bit planes captured *at
-        construction*, so the overlay is a true snapshot: later appends to
-        the delta are invisible until a new overlay is published.  A
-        BFU-backed delta hands over its cached stack (a copy it abandons on
-        its next mutation); one whose planes are writable memory
-        (:meth:`Rambo._from_planes`) is copied, since its stack aliases
-        bits the next insert changes.
+        The index holding the documents appended since.  Its names,
+        assignments and bit planes are copied *at construction*, so the
+        overlay is a true snapshot: later appends to the delta are
+        invisible until a new overlay is published.
     delta_planes:
-        Frozen per-repetition planes to probe instead of capturing
+        Frozen per-repetition planes to probe instead of copying
         *delta*'s — the :class:`LiveDelta` hand-off.  The caller promises
         they hold exactly *delta*'s current bits and do not change while
         the overlay can be read; the engines keep that promise through the
         snapshot lease (see :class:`LiveDelta`).
 
-    The overlay rejects every mutation (:meth:`add_documents`, ``fold``,
-    ``save_mmap``) with a clean error — writes go through the
+    The overlay rejects every mutation (:meth:`add_documents`, ``fold``)
+    and being saved with a clean error — writes go through the
     :class:`~repro.ingest.engine.IngestEngine`, which publishes a fresh
     overlay per acknowledged batch.
     """
@@ -84,63 +79,32 @@ class DeltaOverlayIndex(Rambo):
                 f"overlay parts disagree on config: base {base.config} "
                 f"vs delta {delta.config}"
             )
-        if base.num_partitions != delta.num_partitions:
-            raise ValueError(
-                "overlay parts disagree on partition count "
-                f"({base.num_partitions} vs {delta.num_partitions})"
-            )
-        duplicates = [name for name in delta._doc_names if name in base]  # noqa: SLF001
+        duplicates = [name for name in delta.names if name in base]
         if duplicates:
             raise ValueError(
                 f"delta re-indexes base documents: {duplicates[:3]!r}..."
                 if len(duplicates) > 3
                 else f"delta re-indexes base documents: {duplicates!r}"
             )
-        # Prime the base's stacked planes once; every later overlay over the
-        # same base re-uses them.
-        base._refresh_member_arrays()  # noqa: SLF001
         if delta_planes is None:
-            # A BFU-backed delta's cached stack is a copy it abandons on its
-            # next mutation; planes that *are* its writable payload are not.
-            delta._refresh_member_arrays()  # noqa: SLF001
-            delta_planes = delta._bit_cache  # noqa: SLF001
-            if delta._planes is not None and not delta.readonly:  # noqa: SLF001
-                delta_planes = [plane.copy() for plane in delta_planes]
-
-        self.config = base.config
-        self.k = base.k
-        self._family = base._family  # noqa: SLF001
-        self._bfus = base._bfus  # noqa: SLF001 - geometry only; probes use _plane_pairs
-        self._planes = None
-        self._mapped = False
-        # What an append pays for per publish: two list concatenations.  The
-        # name -> id map and the member lists no query reads are derived on
-        # first use; the numpy views are the stock lazy refresh.
-        self._doc_names = base._doc_names + delta._doc_names  # noqa: SLF001
-        self._assignments = [
-            base_row + delta_row
-            for base_row, delta_row in zip(base._assignments, delta._assignments)  # noqa: SLF001
-        ]
+            delta_planes = [plane.copy() for plane in delta.planes]
         self._base = base
         self._delta = delta
-        self._plane_pairs = list(zip(base._bit_cache, delta_planes))  # noqa: SLF001
-        self._invalidate_caches()
-
-    @cached_property
-    def _doc_ids(self) -> Dict[str, int]:  # type: ignore[override]
-        return {name: i for i, name in enumerate(self._doc_names)}
-
-    @cached_property
-    def _members(self) -> List[List[List[int]]]:  # type: ignore[override]
-        return members_from_assignments(self._assignments, self.num_partitions)
-
-    # -- the one behavioural override: plane pairs in the bit cache --------------------
-
-    def _stacked_planes(self) -> list:
-        # Each cache entry is a (base_plane, delta_plane) pair;
-        # probe_words_batch ORs the gathered bytes of the two planes, which
-        # equals probing the OR-merged plane — the from-scratch index's bits.
-        return list(self._plane_pairs)
+        # Each plane is a (base_plane, delta_plane) pair: probe_words_batch
+        # ORs the gathered bytes of the two, which equals probing the
+        # OR-merged plane — the from-scratch index's bits.  What an append
+        # pays for per publish is the list concatenations below.
+        self._adopt(
+            base.config,
+            list(zip(base.planes, delta_planes)),
+            base.names + delta.names,
+            [
+                base_row + delta_row
+                for base_row, delta_row in zip(base.assignments, delta.assignments)
+            ],
+            base._family,  # noqa: SLF001
+            base.insert_counts + delta.insert_counts,
+        )
 
     # -- immutability ------------------------------------------------------------------
 
@@ -160,21 +124,9 @@ class DeltaOverlayIndex(Rambo):
             "cannot fold a delta overlay; compact it into a snapshot first"
         )
 
-    def save_mmap(self, path) -> int:
-        raise ValueError(
-            "cannot save a delta overlay; the IngestEngine's compaction "
-            "writes the merged snapshot"
-        )
-
     def bfu(self, repetition: int, partition: int):
         raise ValueError(
             "a delta overlay holds no materialised BFUs; query it, or "
-            "compact base+delta into a snapshot"
-        )
-
-    def _plane(self, repetition: int):
-        raise ValueError(
-            "a delta overlay holds no plane of its own to merge or save; "
             "compact base+delta into a snapshot"
         )
 
@@ -193,38 +145,25 @@ class DeltaOverlayIndex(Rambo):
     @property
     def num_delta_documents(self) -> int:
         """Documents served from the delta plane (not yet compacted)."""
-        return len(self._doc_names) - len(self._base._doc_names)  # noqa: SLF001
+        return self.num_documents - self._base.num_documents
 
     def size_components(self) -> Dict[str, int]:
-        return {
-            "bfus": (
-                self._base.size_components()["bfus"]
-                + self._delta.size_components()["bfus"]
-            ),
-            "assignments": 4 * self.repetitions * len(self._doc_names),
-            "names": sum(len(name.encode("utf-8")) for name in self._doc_names),
-        }
-
-    def size_in_bytes(self) -> int:
-        return sum(self.size_components().values())
+        components = super().size_components()
+        components["bfus"] *= 2  # a base and a delta plane per repetition
+        return components
 
     def fill_ratios(self) -> List[List[float]]:
         """Fill of the *effective* (ORed) planes — what queries actually probe."""
         bits = self.config.bfu_bits
-        ratios: List[List[float]] = []
-        for base_plane, delta_plane in self._plane_pairs:
-            combined = np.bitwise_or(
-                np.asarray(base_plane), np.asarray(delta_plane)
-            )
-            ratios.append(
-                [popcount_words(combined[b]) / bits for b in range(combined.shape[0])]
-            )
-        return ratios
+        return [
+            [popcount_words(row) / bits for row in np.bitwise_or(base_plane, delta_plane)]
+            for base_plane, delta_plane in self.planes
+        ]
 
     def __repr__(self) -> str:
         return (
             f"DeltaOverlayIndex(B={self.num_partitions}, R={self.repetitions}, "
-            f"base_documents={len(self._base._doc_names)}, "  # noqa: SLF001
+            f"base_documents={self._base.num_documents}, "
             f"delta_documents={self.num_delta_documents})"
         )
 
@@ -248,8 +187,7 @@ class LiveDelta:
     """The live delta of an ingesting node — the one owner both engines drive.
 
     Holds the documents appended since the serving base was cut, as an
-    ordinary writable :class:`Rambo` over one ``(B, words)`` plane per
-    repetition (:meth:`Rambo._from_planes`), and publishes them.  The
+    ordinary writable :class:`Rambo`, and publishes them.  The
     publish dataflow, whose cost follows the batch and not the index::
 
         live planes --rows the batch touched--> drained frozen set
@@ -291,19 +229,7 @@ class LiveDelta:
         or its base replaced (standby re-sync).  The frozen sets are
         abandoned to whatever overlays still drain on them.
         """
-        config = self._config
-        planes = [
-            np.zeros((config.num_partitions, config.words_per_bfu), dtype=np.uint64)
-            for _ in range(config.repetitions)
-        ]
-        assignments: List[List[int]] = [[] for _ in planes]
-        self._index = Rambo._from_planes(  # noqa: SLF001
-            config,
-            planes,
-            [],
-            assignments,
-            members_from_assignments(assignments, config.num_partitions),
-        )
+        self._index = Rambo(self._config)
         self._frozen: List[_FrozenPlanes] = []
 
     # -- state -------------------------------------------------------------------------
@@ -311,7 +237,7 @@ class LiveDelta:
     @property
     def num_documents(self) -> int:
         """Documents absorbed since the last :meth:`reset`."""
-        return len(self._index._doc_names)  # noqa: SLF001
+        return self._index.num_documents
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -385,11 +311,11 @@ class LiveDelta:
                 other for other in self._frozen if other is frozen or other not in drained
             ]
             for r, plane in enumerate(frozen.planes):
-                unseen = live._assignments[r][frozen.documents :]  # noqa: SLF001
+                unseen = live.assignments[r][frozen.documents :]
                 for b in set(unseen):
-                    plane[b] = live._planes[r][b]  # noqa: SLF001
+                    plane[b] = live.planes[r][b]
         else:
-            frozen = _FrozenPlanes([plane.copy() for plane in live._planes])  # noqa: SLF001
+            frozen = _FrozenPlanes([plane.copy() for plane in live.planes])
             self._frozen.append(frozen)
         frozen.documents = self.num_documents
         return frozen

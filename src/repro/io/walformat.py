@@ -209,9 +209,9 @@ def read_wal_header(path: PathLike) -> Tuple[Dict, int]:
     """Read and validate a segment header; returns ``(header, records_offset)``.
 
     Raises :class:`WalFormatError` on bad magic, version mismatch, or a
-    header that is itself truncated or unparsable (the header is fsynced at
-    segment creation, before any append — damage there is corruption, not a
-    crash artefact).
+    header that is unparsable or runs past the end of the file — checked
+    before it is read, so a damaged length field allocates nothing (the
+    header is fsynced at segment creation: damage there is corruption).
     """
     path = Path(path)
     with open(path, "rb") as handle:
@@ -223,9 +223,9 @@ def read_wal_header(path: PathLike) -> Tuple[Dict, int]:
         if len(raw_len) != 8:
             raise WalFormatError(f"{path} is truncated inside the segment prelude")
         header_len = int.from_bytes(raw_len, "little")
-        raw_header = handle.read(header_len)
-        if len(raw_header) != header_len:
+        if _PRELUDE + header_len > os.fstat(handle.fileno()).st_size:
             raise WalFormatError(f"{path} is truncated inside the segment header")
+        raw_header = handle.read(header_len)
         try:
             header = json.loads(raw_header.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -367,7 +367,7 @@ class TestRamboBatch:
         """Regression: a freshly folded index must serve batch queries (the
         old fold() skipped cache initialisation on the __new__ instance)."""
         folded = built_rambo.fold()
-        assert folded._bit_cache == []  # initialised, not missing
+        assert folded._assignment_arrays == []  # noqa: SLF001 - initialised, not missing
         terms = list(small_dataset.documents[0].terms)[:5]
         batch = folded.query_terms_batch(terms)
         scalar = scalar_reference(folded, terms)

@@ -282,6 +282,14 @@ class TestWalFormat:
         path.write_bytes(b"NOTAWAL\n" + b"\x00" * 32)
         with pytest.raises(WalFormatError, match="bad magic"):
             replay_wal(path)
+        # A damaged header-length field is a format error, not a 4 EiB read.
+        damaged_path = tmp_path / "damaged.log"
+        WalWriter(damaged_path, CONFIG, generation=0).close()
+        damaged = bytearray(damaged_path.read_bytes())
+        damaged[8:16] = (2**62).to_bytes(8, "little")
+        damaged_path.write_bytes(bytes(damaged))
+        with pytest.raises(WalFormatError, match="truncated inside the segment header"):
+            replay_wal(damaged_path)
 
     @given(cut=st.integers(min_value=1, max_value=10_000))
     @tier("standard")
@@ -704,7 +712,7 @@ class TestPublishCost:
 
     @staticmethod
     def served_delta_planes(service):
-        return [delta for _base, delta in service.snapshots.active.index._stacked_planes()]
+        return [delta for _base, delta in service.snapshots.active.index.planes]
 
     def test_publish_reuses_a_drained_plane_set(self, big_stack):
         service, engine, base_docs = big_stack

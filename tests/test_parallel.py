@@ -58,6 +58,10 @@ class TestMergeIndexes:
         part_b = sequential_build(docs[5:10], config(k=small_dataset.k, num_partitions=6))
         with pytest.raises(ValueError, match="not mergeable"):
             merge_indexes([part_a, part_b])
+        # k is no part of the bits, but query_sequence extracts k-mers by it.
+        other_k = sequential_build(docs[5:10], config(k=small_dataset.k - 2))
+        with pytest.raises(ValueError, match="not mergeable"):
+            merge_indexes([part_a, other_k])
 
     def test_merge_different_seeds_rejected(self, small_dataset):
         docs = small_dataset.documents

@@ -304,7 +304,7 @@ def assert_indexes_identical(observed: Rambo, reference: Rambo) -> None:
     for r in range(reference.repetitions):
         assert observed._assignments[r] == reference._assignments[r]  # noqa: SLF001
         for b in range(reference.num_partitions):
-            assert observed._members[r][b] == reference._members[r][b]  # noqa: SLF001
+            assert observed.partition_members(r, b) == reference.partition_members(r, b)
             assert observed.bfu(r, b).bits == reference.bfu(r, b).bits
             assert observed.bfu(r, b).num_items == reference.bfu(r, b).num_items
 

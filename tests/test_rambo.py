@@ -108,39 +108,113 @@ class TestConstruction:
     def test_member_lists_agree_with_assignments_on_every_derived_index(
         self, small_dataset, tmp_path
     ):
-        """Queries read the doc -> partition assignment; ``partition_members``,
-        fold and the containers read the partition -> docs lists.  Every way
-        of deriving an index must keep the two views of one mapping equal."""
+        """Every way of deriving an index yields the one layout: ``partition_members``
+        is the inverse of the assignment table, and a writable result keeps
+        taking ``add_documents`` bit-identically to the scalar reference
+        (bits, tables and — where the counts are not lost to a container,
+        which does not persist them — ``bfu().num_items``)."""
         from repro.core.distributed import DistributedRambo, stack_shards
+        from repro.core.executor import num_threads
         from repro.core.parallel import merge_indexes
         from repro.core.serialization import load_index, open_index, save_index
+        from repro.ingest.overlay import LiveDelta
 
-        documents = small_dataset.documents
+        documents = [
+            KmerDocument(doc.name, frozenset(sorted(doc.terms)[:60]))
+            for doc in small_dataset.documents
+        ]
+        later = [KmerDocument(f"later{i}", frozenset(range(i, 20 * i + 7, 3))) for i in range(12)]
+        by_name = {doc.name: doc for doc in documents + later}
         config = RamboConfig(num_partitions=8, repetitions=3, bfu_bits=1 << 10, k=13, seed=5)
         built = build_index(documents, **config.to_dict())
         halves = [Rambo(config), Rambo(config)]
         halves[0].add_documents(documents[:11])
-        halves[1].add_documents(documents[11:], parallel=True)
+        with num_threads(4):  # enough threads for the sharded insert to shard
+            halves[1].add_documents(documents[11:], parallel=True)
         cluster = DistributedRambo(num_nodes=3, node_config=config)
         cluster.add_documents(documents)
         save_index(built.fold(), tmp_path / "v1.rambo")
         save_index(built, tmp_path / "v2.rambo2", format="mmap")
+        live = LiveDelta(config)
+        live.absorb(documents[:4])
+        live.reset()
+        live.absorb(documents)
+        # label -> (index, whether its insert counts cover every document)
         derived = {
-            "built": built,
-            "folded twice": built.fold().fold(),
-            "merged": merge_indexes(halves),
-            "stacked then folded": stack_shards(cluster).fold(),
-            "loaded": load_index(tmp_path / "v1.rambo"),
-            "mapped": open_index(tmp_path / "v2.rambo2"),
+            "built": (built, True),
+            "folded twice": (built.fold().fold(), True),
+            "merged": (merge_indexes(halves), True),
+            "stacked then folded": (stack_shards(cluster).fold(), True),
+            "loaded": (load_index(tmp_path / "v1.rambo"), False),
+            "mapped": (open_index(tmp_path / "v2.rambo2"), False),
+            "mapped copy-on-write": (Rambo.open_mmap(tmp_path / "v2.rambo2", mode="c"), False),
+            "live delta": (live._index, True),  # noqa: SLF001
         }
-        for label, index in derived.items():
-            index._refresh_member_arrays()  # noqa: SLF001
-            names = index.document_names
+        for label, (index, counted) in derived.items():
+            assert index.readonly == (label == "mapped"), label
+            if not index.readonly:
+                index.add_documents(later[:3])
+                with num_threads(4):
+                    index.add_documents(later[3:], parallel=True)
+            reference = Rambo(index.config, partition_family=index._family)  # noqa: SLF001
+            for name in index.document_names:
+                reference.add_document_scalar(by_name[name])
+            assert index.assignments == reference.assignments, label
             for r in range(index.repetitions):
-                assignment = index._assignment_arrays[r].tolist()  # noqa: SLF001
+                assignment = index.assignments[r]
                 for b in range(index.num_partitions):
-                    expected = [name for name, a in zip(names, assignment) if a == b]
+                    expected = [name for name, a in zip(index.names, assignment) if a == b]
                     assert index.partition_members(r, b) == expected, (label, r, b)
+                    assert index.bfu(r, b) == reference.bfu(r, b), (label, r, b)
+                    if counted:
+                        assert index.bfu(r, b).num_items == reference.bfu(r, b).num_items
+        terms = sorted(documents[0].terms)[:8] + [5, 11]
+        fingerprints = {
+            label: [(r.documents, r.filters_probed) for r in index.query_terms_batch(terms)]
+            for label, (index, _) in derived.items()
+            if index.num_partitions == config.num_partitions and label != "mapped"
+        }
+        assert len(fingerprints) > 3 and len({str(f) for f in fingerprints.values()}) == 1
+
+    def test_bfu_is_a_view_of_the_plane_the_kernel_probes(self, monkeypatch):
+        """No second copy of the payload: what ``bfu()`` shows is what the
+        batch kernel gathers from, and neither an insert nor the query after
+        it allocates anything payload-sized (a restack would be 1x)."""
+        import tracemalloc
+
+        import numpy as np
+
+        import repro.core.rambo as rambo_module
+
+        config = RamboConfig(num_partitions=16, repetitions=2, bfu_bits=1 << 20, k=9, seed=3)
+        payload = 8 * config.repetitions * config.num_partitions * config.words_per_bfu
+        index = Rambo(config)
+        index.add_documents([KmerDocument(f"d{i}", frozenset(range(i, i + 20))) for i in range(12)])
+        index.query_terms_batch([1, 2, 3])
+        tracemalloc.start()
+        try:
+            index.add_document(KmerDocument("new", frozenset(range(100, 140))))
+            results = index.query_terms_batch(list(range(100, 108)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all("new" in result.documents for result in results)
+        assert peak < payload // 4, (peak, payload)
+
+        probed = []
+        kernel = rambo_module.probe_words_batch
+        monkeypatch.setattr(
+            rambo_module,
+            "probe_words_batch",
+            lambda words, positions: probed.append(words) or kernel(words, positions),
+        )
+        index.query_terms_batch([1, 2, 3])
+        assert len(probed) == config.repetitions
+        for r, plane in enumerate(probed):
+            assert plane is index.planes[r]
+            for b in range(config.num_partitions):
+                words = index.bfu(r, b).bits.words
+                assert np.shares_memory(words, plane) and np.array_equal(words, plane[b])
 
 
 class TestQuery:

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.distributed import DistributedRambo, stack_shards
 from repro.core.folding import fold_rambo
 from repro.core.rambo import Rambo, RamboConfig
-from repro.core.serialization import load_index, save_index
+from repro.core.serialization import load_index, open_index, save_index
 from repro.kmers.extraction import KmerDocument
 
 
@@ -19,6 +21,35 @@ def sample_terms(dataset, per_doc=5, extra=("absent-1", "absent-2")):
         terms.extend(sorted(doc.terms)[:per_doc])
     terms.extend(extra)
     return terms
+
+
+class TestPinnedBytes:
+    """Both containers are the index's planes byte for byte; the digests
+    are what the code before the one-layout change wrote for this index."""
+
+    PINNED = {
+        ("built", "v1"): "301526686fc0fb992607d690e03fc395a342c2ab4e7baba11c8609e51689f3be",
+        ("built", "mmap"): "a327db7daa0d3e85d689d403cf298ee99d0b76510c53f81d522442450e06b1eb",
+        ("folded", "v1"): "117d0e9a229d6fac735d178f26e4f0666a3948b0c934d039c5f7723139d64372",
+        ("folded", "mmap"): "a99747fe3119de725ab665b4eb21b0bcd03c697fcb77a423f23fc91ace5b5ab2",
+    }
+
+    def test_written_files_have_the_pinned_sha256(self, tmp_path):
+        config = RamboConfig(
+            num_partitions=6, repetitions=3, bfu_bits=1000, bfu_hashes=2, k=11, seed=42
+        )
+        index = Rambo(config)
+        index.add_documents(
+            [KmerDocument(f"doc{i}", np.arange(i * 7, i * 7 + 40, dtype=np.uint64)) for i in range(9)]
+        )
+        index.add_document(KmerDocument("words", frozenset({"alpha", "beta"})))
+        for (label, fmt), digest in self.PINNED.items():
+            path = tmp_path / f"{label}.{fmt}"
+            save_index(index if label == "built" else index.fold(), path, format=fmt)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (label, fmt)
+            # ... and a file loaded back writes the same bytes again.
+            save_index(open_index(path), tmp_path / "again", format=fmt)
+            assert (tmp_path / "again").read_bytes() == path.read_bytes()
 
 
 class TestRoundTrip:
@@ -122,6 +153,13 @@ class TestCorruptionHandling:
         path.write_bytes(bytes(payload))
         with pytest.raises(ValueError):
             load_index(path)
+        # A damaged header-length field is a format error, not a MemoryError.
+        payload[7:15] = (2**62).to_bytes(8, "little")
+        path.write_bytes(bytes(payload))
+        with pytest.raises(ValueError, match="header extends past EOF"):
+            load_index(path)
+        with pytest.raises(ValueError, match="header extends past EOF"):
+            open_index(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -478,10 +478,17 @@ class TestRotation:
         failures = []
         completed = [0] * num_clients
         answered_by = set()
+        # The race runs free, but each client holds its last request until
+        # the final swap has returned: answers from both sides of a swap are
+        # then guaranteed by construction, not by how the threads were
+        # scheduled (eight clients can starve the main thread past the end).
+        swaps_done = threading.Event()
 
         def client(seed: int) -> None:
             rng = np.random.default_rng(seed)
-            for _ in range(requests_per_client):
+            for request in range(requests_per_client):
+                if request == requests_per_client - 1:
+                    swaps_done.wait(timeout=60)
                 terms = [TERM_POOL[i] for i in rng.integers(0, len(TERM_POOL), size=5)]
                 batch = service.query(terms, timeout=30)
                 # Snapshot ids count up from 1 and the two indexes alternate.
@@ -507,10 +514,12 @@ class TestRotation:
                     time.sleep(0.0002)
                 swapped = service.swap(indexes[swap % 2])
                 assert swapped.snapshot_id == swap + 1
+            swaps_done.set()
             for thread in threads:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
         finally:
+            swaps_done.set()
             service.close()
         assert failures == []
         # Zero dropped queries: every client completed every request.
