@@ -17,7 +17,9 @@ take:
    curl, ``requests.Session`` and proxies talk to a server), again
    bit-identical, with a median round trip under 20 ms — a response split
    into two TCP segments stalls every keep-alive exchange for ~40 ms, and
-   this is the one place CI would see that return;
+   this is the one place CI would see that return; the connection's first
+   exchange is hostile (a ``GET /healthz`` that declares a 5-byte body), so
+   every query after it also proves the server consumed what it was sent;
 6. shut the server down cleanly and check it exited.
 
 Exit code 0 means the serving path works end to end.  Needs only numpy —
@@ -130,6 +132,12 @@ def check_keepalive(url: str, index: Rambo, pool) -> float:
     connection = http.client.HTTPConnection(address.hostname, address.port, timeout=30.0)
     round_trips = []
     try:
+        # Unconsumed, these 5 bytes are what the next request is parsed from.
+        connection.request("GET", "/healthz", body=b"hello")
+        reply = connection.getresponse()
+        if reply.status != 200 or not json.loads(reply.read())["ok"]:
+            raise SystemExit(f"[keep-alive] GET /healthz with a body: HTTP {reply.status}")
+        sock = connection.sock
         for i in range(NUM_QUERIES):
             terms = request_terms(pool, i)
             body = json.dumps({"terms": terms, "coalesce": i % 3 != 0})
@@ -143,6 +151,8 @@ def check_keepalive(url: str, index: Rambo, pool) -> float:
             if reply.status != 200:
                 raise SystemExit(f"[keep-alive {i}] HTTP {reply.status}: {payload[:200]!r}")
             compare_to_local(json.loads(payload), index, terms, f"keep-alive {i}")
+        if connection.sock is not sock:
+            raise SystemExit("[keep-alive] the server hung up mid-scenario: not one connection")
     finally:
         connection.close()
     median = statistics.median(round_trips)

@@ -95,7 +95,7 @@ class ReplicationLog:
                 if gen != generation or committed > offset:
                     return True
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                if not remaining > 0:  # also ends a NaN timeout, which no <= would
                     return False
                 self._cond.wait(min(remaining, 0.25))
         return False

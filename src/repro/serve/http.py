@@ -4,62 +4,44 @@ A deliberately dependency-free server: ``http.server.ThreadingHTTPServer``
 accepts each client on its own thread, and those threads all funnel into
 the service's coalescer — so the thread-per-connection model costs one
 blocked thread per in-flight request, not one index probe per request.
-The JSON surface:
 
-``POST /query``
-    Body ``{"terms": [...], "method": "full"|"sparse", "backend":
-    "auto"|"full"|"sparse", "filters": {field: value-or-list}, "canonical":
-    bool, "coalesce": bool}``.  Terms may be integer k-mer codes or
-    strings; k-length DNA strings are normalised to codes server-side with
-    the same rule the CLI build/query path uses.  ``backend`` supersedes
-    ``method`` when present: ``"auto"`` lets the cost-based planner pick
-    the evaluation strategy per batch (resolved before coalescing, so auto
-    requests still share ticks), and the response then carries a ``"plan"``
-    record.  ``filters`` restrict results to documents matching the served
-    index's metadata sidecar (normalise-and-match; requires an index built
-    with metadata).  Returns ``{"snapshot_id": id, "results": [{"term":
-    <as sent>, "documents": [...], "filters_probed": n}], "plan": {...}}``
-    with documents sorted.  ``"coalesce": false`` requests the uncoalesced
-    direct path (benchmark baseline).
+Every request, GET or POST, takes one path through
+:meth:`ServeRequestHandler._dispatch`: frame the body, check what the node
+must have, consume exactly the declared bytes, decode, call the route's
+handler, map what it raises.  :data:`ROUTES`, at the end of this module, is
+the list of endpoints — each documented beside its entry, and the only
+place a new one is added.
 
-``GET /stats``
-    The service's full stats record (same index schema as ``repro-rambo
-    info --json``); ``?fill=1`` adds the payload-scanning fill statistics.
+A JSON response is 200 with the route's record, or ``{"error": msg}`` with:
 
-``GET /healthz``
-    ``{"ok": true, "snapshot_id": id, "documents": n}`` — cheap liveness.
-
-``POST /rotate``
-    Body ``{"path": "...", "mode": "r"}``: open that index file and swap it
-    in atomically.  In-flight queries drain against the old snapshot.
-
-``POST /append``
-    Body ``{"documents": [{"name": ..., "terms": [...]} |
-    {"name": ..., "sequences": [...]}], "canonical": bool, "min_count": n}``.
-    Streaming ingest (requires ``serve --wal``): each document is either a
-    ready term list (codes or k-length DNA strings, normalised like query
-    terms) or raw sequences run through the server-side k-mer extractor.
-    The batch is WAL-fsynced before the 200 — the response *is* the
-    durability acknowledgement.  Returns ``{"appended": n, "snapshot_id":
-    id, "delta_documents": n, "wal_bytes": n}``.
-
-``POST /compact``
-    No body required.  Folds the delta into a new snapshot generation and
-    truncates the WAL; returns the compaction record, or ``{"compacted":
-    false}`` when the delta is empty.
-
-Errors come back as ``{"error": msg}`` with 400 (bad request), 404 (unknown
-endpoint) or 500 (evaluation failure).
+``400``
+    The request is wrong: an unusable ``Content-Length`` (also closes the
+    connection), malformed JSON, a field of the wrong type or out of range,
+    or a node that lacks what the route needs (no ``--wal``, no
+    replication log).
+``404``
+    Unknown endpoint.
+``409``
+    ``/wal/stream`` asked for a generation that compaction has retired; the
+    record also carries the current ``"generation"`` to re-sync to.
+``503``
+    The request is valid but this node cannot take it now — a write sent
+    to a read-only replica, a semi-sync append whose standby quorum timed
+    out, ``/healthz`` on a standby still catching up.  A
+    :class:`~repro.serve.client.FailoverClient` retries or rotates on it.
+``500``
+    The handler itself failed (``"<route> failed: ..."``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 from urllib.parse import parse_qs
 
 import numpy as np
@@ -76,6 +58,76 @@ from repro.serve.service import QueryService
 #: mistake, not a query).
 MAX_BODY_BYTES = 64 << 20
 
+_REQUIRED = object()
+
+
+class BadRequest(ValueError):
+    """The request itself is at fault: answered 400, never retried as sent."""
+
+
+class Fields:
+    """Typed reads of a request's parameters: a JSON body's members, or a
+    query string's.
+
+    Every value a handler uses comes through one of these readers, which
+    name the field in their 400 — so ``int()`` / ``float()`` / ``bool()``
+    never meet ``1e999``, ``nan``, ``"abc"`` or ``[]`` inside a handler.
+    """
+
+    def __init__(self, values: Dict) -> None:
+        self._values = values
+
+    @classmethod
+    def from_query(cls, query: str) -> "Fields":
+        """Each parameter's first value, as the JSON scalar it spells
+        (``5``, ``2.5``, ``true``) or else as text."""
+        values = {}
+        for name, texts in parse_qs(query).items():
+            try:
+                values[name] = json.loads(texts[0])
+            except (ValueError, RecursionError):
+                values[name] = texts[0]
+        return cls(values)
+
+    def _read(self, name: str, default, kinds: Tuple[type, ...], what: str, accept=None):
+        value = self._values.get(name, default)
+        if type(value) in kinds and (accept is None or accept(value)):
+            return value
+        if value is default and default is not _REQUIRED:
+            return default
+        got = "nothing" if value is _REQUIRED else f"{value!r:.60}"
+        raise BadRequest(f"{name!r} must be {what}, got {got}")
+
+    def integer(self, name: str, default, lowest: int) -> int:
+        """A JSON integer ``>= lowest`` (not a bool, a float or a digit string)."""
+        return self._read(
+            name, default, (int,), f"an integer >= {lowest}", lambda v: v >= lowest
+        )
+
+    def number(self, name: str, default, lowest: float) -> float:
+        """A finite JSON number ``>= lowest``."""
+        return self._read(
+            name,
+            default,
+            (int, float),
+            f"a finite number >= {lowest}",
+            lambda v: lowest <= v < math.inf,
+        )
+
+    def text(self, name: str, default=_REQUIRED) -> Optional[str]:
+        return self._read(name, default, (str,), "a non-empty string", bool)
+
+    def flag(self, name: str, default: bool) -> bool:
+        return bool(
+            self._read(name, default, (bool, int), "true or false", lambda v: v in (0, 1))
+        )
+
+    def items(self, name: str) -> list:
+        return self._read(name, _REQUIRED, (list,), "a non-empty list", bool)
+
+    def mapping(self, name: str) -> Optional[Dict]:
+        return self._read(name, None, (dict,), "a JSON object")
+
 
 class ServeHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying the shared :class:`QueryService`."""
@@ -88,8 +140,39 @@ class ServeHTTPServer(ThreadingHTTPServer):
         super().__init__(address, ServeRequestHandler)
 
 
+def _resolve_node(service: QueryService, needs: Optional[str]):
+    """What a route's handler works on, as ``(node, refusal)``.
+
+    The one place that duck-types the attached engine (the primary's, a
+    standby's, or a test stub with only ``role`` and ``healthz``).  A
+    replica's refusal is 503, not 400: the request is valid, this node just
+    cannot take it — a :class:`~repro.serve.client.FailoverClient` rotates
+    to the primary on that signal.
+    """
+    engine = service.ingest
+    if needs is None:
+        return service, None
+    if needs == "log":
+        log = getattr(engine, "replication", None)
+        if log is None:
+            return None, (
+                400,
+                "this node streams no WAL and accepts no replication acks (not a primary)",
+            )
+        return log, None
+    if engine is None or (needs == "store" and getattr(engine, "store", None) is None):
+        return None, (400, "streaming ingest is not enabled; restart the server with --wal")
+    if needs == "primary" and getattr(engine, "role", "primary") == "replica":
+        return None, (
+            503,
+            "this node is a read-only replica; retry on the primary "
+            "(or POST /promote here first)",
+        )
+    return engine, None
+
+
 class ServeRequestHandler(BaseHTTPRequestHandler):
-    """Routes the four JSON endpoints onto the service object."""
+    """Runs every request through :meth:`_dispatch` and the :data:`ROUTES` table."""
 
     server: ServeHTTPServer  # narrowed for the handlers below
     protocol_version = "HTTP/1.1"
@@ -101,7 +184,7 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
     wbufsize = -1
     disable_nagle_algorithm = True
 
-    # -- plumbing -----------------------------------------------------------------------
+    # -- the pipeline -------------------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
         """Per-request stderr logging, silenced by default (quiet server)."""
@@ -117,7 +200,7 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         self.wfile.flush()
         return proceed
 
-    def _send_json(self, payload: Dict, status: int = 200) -> None:
+    def _send_json(self, status: int, payload: Dict) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -127,75 +210,84 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_json(self, message: str, status: int) -> None:
-        self._send_json({"error": message}, status=status)
+    def _consume(self, length: int, keep: bool) -> bytes:
+        """Take exactly *length* body bytes off the connection.
 
-    def _content_length(self, lowest: int = 0, highest: Optional[int] = None) -> Optional[int]:
-        """The declared body size, or ``None`` after answering 400.
-
-        Only plain ASCII digits count: ``int()`` would also take ``+5``,
-        ``1_0`` or a padded ``5 ``, which a proxy in front may frame
-        differently.  A rejected body (malformed, negative, outside
-        ``[lowest, highest]``) is left unread, so whatever the client sent
-        is still on the socket: close the connection rather than let the
-        next pipelined request parse from mid-body.
+        Kept when the route will parse them; otherwise discarded in bounded
+        chunks, however many there are — left unread, they are what the
+        next request on a keep-alive connection would be parsed from.
         """
-        raw = self.headers.get("Content-Length") or "0"
-        length = int(raw) if raw.isascii() and raw.isdigit() else -1
-        if length < lowest or (highest is not None and length > highest):
+        if keep:
+            return self.rfile.read(length)
+        while length > 0:
+            chunk = self.rfile.read(min(length, 1 << 20))
+            if not chunk:
+                break
+            length -= len(chunk)
+        return b""
+
+    def _dispatch(self) -> None:
+        """The one request pipeline; see docs/ARCHITECTURE.md, "Request pipeline"."""
+        # Only plain ASCII digits count: ``int()`` would also take ``+5``,
+        # ``1_0`` or a padded ``5 ``, which a proxy in front may frame
+        # differently.
+        declared = self.headers.get("Content-Length") or "0"
+        length = int(declared) if declared.isascii() and declared.isdigit() else -1
+        path, _, query = self.path.partition("?")
+        route = ROUTES.get((self.command, path))
+        node, refusal = None, (404, f"unknown endpoint {path!r}")
+        if route is not None:
+            node, refusal = _resolve_node(self.server.service, route.needs)
+        parse = refusal is None and route.body == "json"
+        # A body that cannot be framed, or that a JSON route would have to
+        # hold in memory past its cap, stays unread — so close the
+        # connection rather than parse the next request from mid-body.
+        if length < 0 or (parse and not 1 <= length <= MAX_BODY_BYTES):
             self.close_connection = True
-            self._send_error_json(f"bad Content-Length {raw!r}", 400)
-            return None
-        return length
-
-    def _read_json_body(self) -> Optional[Dict]:
-        length = self._content_length(lowest=1, highest=MAX_BODY_BYTES)
-        if length is None:
-            return None
+            self._send_json(400, {"error": f"bad Content-Length {declared!r}"})
+            return
+        body = self._consume(length, keep=parse)
+        if refusal is not None:
+            self._send_json(refusal[0], {"error": refusal[1]})
+            return
         try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._send_error_json(f"malformed JSON body: {exc}", 400)
-            return None
-        if not isinstance(payload, dict):
-            self._send_error_json("JSON body must be an object", 400)
-            return None
-        return payload
-
-    # -- endpoints ----------------------------------------------------------------------
+            if parse:
+                try:
+                    payload = json.loads(body.decode("utf-8"))
+                except (ValueError, RecursionError) as exc:
+                    raise BadRequest(f"malformed JSON body: {exc}") from exc
+                if not isinstance(payload, dict):
+                    raise BadRequest("JSON body must be an object")
+                fields = Fields(payload)
+            else:
+                fields = Fields.from_query(query)
+            reply = route.handler(self, node, fields)
+        except ValueError as exc:
+            reply = 400, {"error": str(exc)}
+        except ReplicationLagError as exc:
+            # A semi-sync append that timed out waiting for its standby
+            # quorum is locally durable but of unknown replicated fate:
+            # 503 tells the failover client to retry (recovery dedupes).
+            reply = 503, {"error": f"{path[1:]} failed: {exc}"}
+        except GenerationChanged as exc:
+            reply = 409, {"error": str(exc), "generation": exc.generation}
+        except Exception as exc:  # noqa: BLE001 - surfaced as a 500, not a dead socket
+            reply = 500, {"error": f"{path[1:]} failed: {exc}"}
+        if reply is not None:  # None: the handler streamed its own response
+            self._send_json(*reply)
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        """Dispatch ``GET /stats``, ``/healthz``, ``/wal/stream`` and ``/wal/snapshot``."""
-        path, _, query = self.path.partition("?")
-        if path == "/stats":
-            self._send_json(self.server.service.stats(fill="fill=1" in query))
-        elif path == "/healthz":
-            self._handle_healthz()
-        elif path == "/wal/stream":
-            self._handle_wal_stream(query)
-        elif path == "/wal/snapshot":
-            self._handle_wal_snapshot()
-        else:
-            self._send_error_json(f"unknown endpoint {path!r}", 404)
+        self._dispatch()
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        """Dispatch the JSON POST endpoints."""
-        if self.path == "/query":
-            self._handle_query()
-        elif self.path == "/rotate":
-            self._handle_rotate()
-        elif self.path == "/append":
-            self._handle_append()
-        elif self.path == "/compact":
-            self._handle_compact()
-        elif self.path == "/wal/ack":
-            self._handle_wal_ack()
-        elif self.path == "/promote":
-            self._handle_promote()
-        else:
-            self._refuse_unread(f"unknown endpoint {self.path!r}", 404)
+        self._dispatch()
 
-    def _handle_healthz(self) -> None:
+    # -- handlers: (node, typed fields) -> (status, record) -----------------------------
+
+    def _handle_stats(self, service: QueryService, query: Fields):
+        return 200, service.stats(fill=query.flag("fill", False))
+
+    def _handle_healthz(self, service: QueryService, _query: Fields):
         """Readiness detail; 503 until the node can serve consistent answers.
 
         A static server and a recovered primary are ready immediately; a
@@ -203,7 +295,6 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         primary's cursor (queries before that would silently answer from a
         stale prefix while claiming health).
         """
-        service = self.server.service
         snapshot = service.snapshots.active
         record = {
             "ok": True,
@@ -214,56 +305,39 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             "wal_attached": service.ingest is not None,
             "replication_lag": 0,
         }
-        ingest = service.ingest
-        healthz = getattr(ingest, "healthz", None)
-        if callable(healthz):
-            record.update(healthz())
+        if service.ingest is not None:
+            record.update(service.ingest.healthz())
             record["ok"] = bool(record.get("ready", True))
-        self._send_json(record, status=200 if record["ok"] else 503)
+        return (200 if record["ok"] else 503), record
 
-    def _handle_query(self) -> None:
-        payload = self._read_json_body()
-        if payload is None:
-            return
-        terms = payload.get("terms")
-        if not isinstance(terms, list) or not terms:
-            self._send_error_json("'terms' must be a non-empty list", 400)
-            return
-        if not all(isinstance(term, (int, str)) for term in terms):
-            self._send_error_json("terms must be integers or strings", 400)
-            return
-        method = payload.get("method", "full")
-        backend = payload.get("backend")
-        filters = payload.get("filters")
-        if filters is not None and not isinstance(filters, dict):
-            self._send_error_json("'filters' must be a JSON object", 400)
-            return
-        canonical = bool(payload.get("canonical", False))
-        coalesce = bool(payload.get("coalesce", True))
-        service = self.server.service
+    def _handle_query(self, service: QueryService, body: Fields):
+        terms = body.items("terms")
+        if not all(
+            isinstance(term, str) or (isinstance(term, int) and 0 <= term < 1 << 64)
+            for term in terms
+        ):
+            raise BadRequest("terms must be strings or integer codes in [0, 2**64)")
+        method = body.text("method", "full")
+        backend = body.text("backend", None)
+        filters = body.mapping("filters")
+        coalesce = body.flag("coalesce", True)
         k = service.snapshots.active.index.k  # type: ignore[union-attr]
+        canonical = body.flag("canonical", False)
         normalised = [normalise_query_term(term, k, canonical=canonical) for term in terms]
         plan = None
-        try:
-            if backend is not None or filters:
-                # The planned path: "backend" supersedes "method" (an
-                # explicit method is honoured as backend=<method>).
-                batch, plan = service.query_planned(
-                    normalised,
-                    backend=backend if backend is not None else method,
-                    filters=filters,
-                    coalesce=coalesce,
-                )
-            elif coalesce:
-                batch = service.query(normalised, method=method)
-            else:
-                batch = service.query_direct(normalised, method=method)
-        except ValueError as exc:
-            self._send_error_json(str(exc), 400)
-            return
-        except Exception as exc:  # noqa: BLE001 - surfaced as a 500, not a dead socket
-            self._send_error_json(f"query failed: {exc}", 500)
-            return
+        if backend is not None or filters:
+            # The planned path: "backend" supersedes "method" (an
+            # explicit method is honoured as backend=<method>).
+            batch, plan = service.query_planned(
+                normalised,
+                backend=backend if backend is not None else method,
+                filters=filters,
+                coalesce=coalesce,
+            )
+        elif coalesce:
+            batch = service.query(normalised, method=method)
+        else:
+            batch = service.query_direct(normalised, method=method)
         response = {
             "snapshot_id": batch.snapshot_id,
             "results": [
@@ -277,7 +351,19 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         }
         if plan is not None:
             response["plan"] = plan
-        self._send_json(response)
+        return 200, response
+
+    def _handle_rotate(self, service: QueryService, body: Fields):
+        path, mode = body.text("path"), body.text("mode", "r")
+        try:
+            snapshot = service.rotate(path, mode=mode)
+        except (OSError, ValueError) as exc:  # bad file => client error, state intact
+            raise BadRequest(f"rotation failed: {exc}") from exc
+        return 200, {
+            "snapshot_id": snapshot.snapshot_id,
+            "documents": snapshot.index.num_documents if snapshot.index else 0,
+            "path": snapshot.path,
+        }
 
     def _parse_append_document(self, record, k: int, canonical: bool, min_count: int):
         """One JSON document record -> :class:`KmerDocument` (raises ValueError)."""
@@ -320,159 +406,58 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             return KmerDocument(name, np.asarray(normalised, dtype=np.uint64))
         return KmerDocument(name, frozenset(normalised), source_format="text")
 
-    def _writable_ingest(self):
-        """The attached ingest engine, or ``None`` after refusing the request.
-
-        Call it before reading the body (the refusal discards it).  A
-        replica answers 503 (not 400): the request is valid, this node
-        just cannot take it — a :class:`~repro.serve.client.FailoverClient`
-        rotates to the primary on that signal.
-        """
-        service = self.server.service
-        if service.ingest is None:
-            self._refuse_unread(
-                "streaming ingest is not enabled; restart the server with --wal", 400
-            )
-            return None
-        if getattr(service.ingest, "role", "primary") == "replica":
-            self._refuse_unread(
-                "this node is a read-only replica; retry on the primary "
-                "(or POST /promote here first)",
-                503,
-            )
-            return None
-        return service.ingest
-
-    def _handle_append(self) -> None:
-        service = self.server.service
-        ingest = self._writable_ingest()
-        if ingest is None:
-            return
-        payload = self._read_json_body()
-        if payload is None:
-            return
-        records = payload.get("documents")
-        if not isinstance(records, list) or not records:
-            self._send_error_json("'documents' must be a non-empty list", 400)
-            return
-        canonical = bool(payload.get("canonical", False))
-        try:
-            min_count = int(payload.get("min_count", 1))
-        except (TypeError, ValueError):
-            self._send_error_json(
-                f"'min_count' must be an integer, got {payload.get('min_count')!r}", 400
-            )
-            return
-        k = service.snapshots.active.index.k  # type: ignore[union-attr]
-        try:
-            documents = [
-                self._parse_append_document(record, k, canonical, min_count)
-                for record in records
-            ]
-            result = ingest.append(documents)
-        except ValueError as exc:
-            self._send_error_json(str(exc), 400)
-            return
-        except ReplicationLagError as exc:
-            # A semi-sync append that timed out waiting for its standby
-            # quorum is locally durable but of unknown replicated fate:
-            # 503 tells the failover client to retry (recovery dedupes).
-            self._send_error_json(f"append failed: {exc}", 503)
-            return
-        except Exception as exc:  # noqa: BLE001 - surfaced as a 500, not a dead socket
-            self._send_error_json(f"append failed: {exc}", 500)
-            return
-        self._send_json(
-            {
-                "appended": result.appended,
-                "snapshot_id": result.snapshot_id,
-                "delta_documents": result.delta_documents,
-                "wal_bytes": result.wal_bytes,
-            }
+    def _handle_append(self, engine, body: Fields):
+        records = body.items("documents")
+        canonical = body.flag("canonical", False)
+        min_count = body.integer("min_count", 1, 1)
+        k = self.server.service.snapshots.active.index.k  # type: ignore[union-attr]
+        result = engine.append(
+            [self._parse_append_document(record, k, canonical, min_count) for record in records]
         )
+        return 200, {
+            "appended": result.appended,
+            "snapshot_id": result.snapshot_id,
+            "delta_documents": result.delta_documents,
+            "wal_bytes": result.wal_bytes,
+        }
 
-    def _drain_body(self) -> bool:
-        """Read and discard the request body — fully, however large — so no
-        unread bytes corrupt the next pipelined request on this
-        keep-alive connection.  ``False`` (400 already sent) when the
-        declared length is unusable."""
-        remaining = self._content_length()
-        if remaining is None:
-            return False
-        while remaining > 0:
-            chunk = self.rfile.read(min(remaining, 1 << 20))
-            if not chunk:
-                break
-            remaining -= len(chunk)
-        return True
-
-    def _refuse_unread(self, message: str, status: int) -> None:
-        """Answer an error to a request whose body nobody has read.
-
-        The body goes first: left on a keep-alive connection, it is what
-        the next request would be parsed from.
-        """
-        if self._drain_body():
-            self._send_error_json(message, status)
-
-    def _handle_compact(self) -> None:
-        ingest = self._writable_ingest()
-        # /compact takes no parameters, so an empty body is legal.
-        if ingest is None or not self._drain_body():
-            return
-        try:
-            record = ingest.compact()
-        except Exception as exc:  # noqa: BLE001 - surfaced as a 500, not a dead socket
-            self._send_error_json(f"compaction failed: {exc}", 500)
-            return
+    def _handle_compact(self, engine, _query: Fields):
+        record = engine.compact()
         if record is None:
-            self._send_json({"compacted": False})
-        else:
-            self._send_json({"compacted": True, **record})
+            return 200, {"compacted": False}
+        return 200, {"compacted": True, **record}
 
-    # -- replication -------------------------------------------------------------------
+    def _handle_promote(self, engine, _query: Fields):
+        promoted = engine.role == "replica"
+        if promoted:
+            engine = engine.promote()
+        return 200, {"promoted": promoted, "role": engine.role, "generation": engine.generation}
 
-    def _handle_wal_stream(self, query: str) -> None:
+    def _handle_wal_ack(self, log, body: Fields):
+        # An acknowledged prefix means something only as a definite cursor
+        # the primary can compare: whole, non-negative, exactly as sent.
+        log.ack(body.text("peer"), body.integer("generation", 0, 0), body.integer("records", 0, 0))
+        return 200, {"ok": True, "replica_ack": log.replica_ack}
+
+    def _handle_wal_stream(self, log, query: Fields) -> None:
         """Chunked stream of committed WAL record frames from a cursor.
 
-        ``?generation=G&offset=N`` resumes at record ``N`` of generation
-        ``G``; a 409 (with the current generation in the body) tells the
-        standby to re-sync from the snapshot.  The stream long-polls: after
-        draining everything committed it waits up to ``wait_s`` for more,
-        and ends cleanly once a wait comes up empty — the standby just
-        reconnects with its advanced cursor.
+        The stream long-polls: after draining everything committed it waits
+        up to ``wait_s`` for more, and ends cleanly once a wait comes up
+        empty — the standby just reconnects with its advanced cursor.
         """
-        service = self.server.service
-        replication = getattr(service.ingest, "replication", None)
-        if replication is None:
-            self._send_error_json(
-                "this node has no primary WAL to stream (not a primary)", 400
-            )
-            return
-        params = parse_qs(query)
-        try:
-            generation = int(params.get("generation", ["0"])[0])
-            offset = int(params.get("offset", ["0"])[0])
-            wait_s = min(float(params.get("wait_s", ["25"])[0]), 60.0)
-            max_bytes = min(int(params.get("max_bytes", [str(1 << 20)])[0]), 32 << 20)
-        except ValueError as exc:
-            self._send_error_json(f"bad stream parameters: {exc}", 400)
-            return
-        try:
-            data, n_records, committed = replication.read(
-                generation, offset, max_bytes=max_bytes
-            )
-        except ValueError as exc:
-            self._send_error_json(str(exc), 400)
-            return
-        except GenerationChanged as exc:
-            self._send_json(
-                {"error": str(exc), "generation": exc.generation}, status=409
-            )
-            return
+        generation = query.integer("generation", 0, 0)
+        offset = query.integer("offset", 0, 0)
+        wait_s = min(query.number("wait_s", 25.0, 0.0), 60.0)
+        max_bytes = min(query.integer("max_bytes", 1 << 20, 0), 32 << 20)
+        data, n_records, committed = log.read(generation, offset, max_bytes=max_bytes)
+        # The chunked framing below is written by hand; never let a second
+        # request parse on this connection.
+        self.close_connection = True
         self.send_response(200)
         self.send_header("Content-Type", "application/octet-stream")
         self.send_header("Transfer-Encoding", "chunked")
+        self.send_header("Connection", "close")
         self.send_header("X-Wal-Generation", str(generation))
         self.send_header("X-Wal-Start-Offset", str(offset))
         self.send_header("X-Wal-Records", str(committed))
@@ -487,50 +472,30 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
                     self.wfile.write(b"%x\r\n" % len(data) + data + b"\r\n")
                     self.wfile.flush()
                     cursor += n_records
-                elif not replication.wait_for_records(generation, cursor, wait_s):
+                elif not log.wait_for_records(generation, cursor, wait_s):
                     break  # idle: end the stream, the standby reconnects
                 try:
-                    data, n_records, _ = replication.read(
-                        generation, cursor, max_bytes=max_bytes
-                    )
+                    data, n_records, _ = log.read(generation, cursor, max_bytes=max_bytes)
                 except GenerationChanged:
                     break  # retired mid-stream: the standby's re-request gets the 409
             self.wfile.write(b"0\r\n\r\n")
             self.wfile.flush()
         except OSError:
             pass  # standby went away mid-stream; its cursor makes resume safe
-        finally:
-            # The chunked framing was written by hand; never let a second
-            # request parse on this connection.
-            self.close_connection = True
 
-    def _handle_wal_snapshot(self) -> None:
+    def _handle_wal_snapshot(self, engine, _query: Fields) -> None:
         """Stream the serving base artifact (for standby bootstrap/re-sync).
 
         The store pins file and generation together — compaction can
         unlink the file a moment later, but the open descriptor keeps the
         bytes alive for the duration of the copy (and the standby's next
         stream request would 409 onto the newer generation anyway).
-
-        ``X-Content-Sha256`` carries the artifact's digest so the standby
-        can verify the transfer end-to-end: a snapshot is raw bitmap
-        bytes, and a flipped bit here would silently poison every answer
-        the standby serves after rotating it in.
         """
-        ingest = self.server.service.ingest
-        if ingest is None:
-            self._send_error_json(
-                "this node has no WAL directory (not a primary)", 400
-            )
-            return
-        generation, handle = ingest.store.open_base()
-        try:
+        generation, handle = engine.store.open_base()
+        with handle:
             size = os.fstat(handle.fileno()).st_size
             digest = hashlib.sha256()
-            while True:
-                chunk = handle.read(1 << 20)
-                if not chunk:
-                    break
+            for chunk in iter(lambda: handle.read(1 << 20), b""):
                 digest.update(chunk)
             handle.seek(0)
             self.send_response(200)
@@ -539,93 +504,102 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             self.send_header("X-Wal-Generation", str(generation))
             self.send_header("X-Content-Sha256", digest.hexdigest())
             self.end_headers()
-            while True:
-                chunk = handle.read(1 << 20)
-                if not chunk:
-                    break
-                self.wfile.write(chunk)
-            # The buffered tail goes out here, where a standby that hung up
-            # mid-copy is still caught, not in handle_one_request's flush.
-            self.wfile.flush()
-        except OSError:
-            self.close_connection = True
-        finally:
-            handle.close()
+            try:
+                for chunk in iter(lambda: handle.read(1 << 20), b""):
+                    self.wfile.write(chunk)
+                # The buffered tail goes out here, where a standby that hung
+                # up mid-copy is still caught, not in handle_one_request's flush.
+                self.wfile.flush()
+            except OSError:
+                self.close_connection = True
 
-    def _handle_wal_ack(self) -> None:
-        service = self.server.service
-        replication = getattr(service.ingest, "replication", None)
-        if replication is None:
-            self._refuse_unread(
-                "this node accepts no replication acks (not a primary)", 400
-            )
-            return
-        payload = self._read_json_body()
-        if payload is None:
-            return
-        peer = payload.get("peer")
-        if not isinstance(peer, str) or not peer:
-            self._send_error_json("'peer' must be a non-empty string", 400)
-            return
-        try:
-            generation = int(payload.get("generation", 0))
-            records = int(payload.get("records", 0))
-        except (TypeError, ValueError):
-            self._send_error_json("'generation'/'records' must be integers", 400)
-            return
-        replication.ack(peer, generation, records)
-        self._send_json({"ok": True, "replica_ack": replication.replica_ack})
 
-    def _handle_promote(self) -> None:
-        """Promote a standby to primary; idempotent on an existing primary."""
-        if not self._drain_body():
-            return
-        ingest = self.server.service.ingest
-        if ingest is None:
-            self._send_error_json(
-                "nothing to promote: streaming ingest is not enabled", 400
-            )
-            return
-        promote = getattr(ingest, "promote", None)
-        if not callable(promote):
-            self._send_json(
-                {
-                    "promoted": False,
-                    "role": getattr(ingest, "role", "primary"),
-                    "generation": ingest.generation,
-                }
-            )
-            return
-        try:
-            engine = promote()
-        except Exception as exc:  # noqa: BLE001 - surfaced as a 500, not a dead socket
-            self._send_error_json(f"promote failed: {exc}", 500)
-            return
-        self._send_json(
-            {"promoted": True, "role": engine.role, "generation": engine.generation}
-        )
+class Route(NamedTuple):
+    """One endpoint: only what differs between routes.
 
-    def _handle_rotate(self) -> None:
-        payload = self._read_json_body()
-        if payload is None:
-            return
-        path = payload.get("path")
-        if not isinstance(path, str) or not path:
-            self._send_error_json("'path' must be a non-empty string", 400)
-            return
-        mode = payload.get("mode", "r")
-        try:
-            snapshot = self.server.service.rotate(path, mode=mode)
-        except Exception as exc:  # noqa: BLE001 - bad file => client error, state intact
-            self._send_error_json(f"rotation failed: {exc}", 400)
-            return
-        self._send_json(
-            {
-                "snapshot_id": snapshot.snapshot_id,
-                "documents": snapshot.index.num_documents if snapshot.index else 0,
-                "path": snapshot.path,
-            }
-        )
+    ``body`` — ``"json"``: the request carries a JSON object of 1 to
+    :data:`MAX_BODY_BYTES` bytes, read into the handler's :class:`Fields`;
+    ``"ignored"``: the route takes its parameters (if any) from the query
+    string, and a declared body of any size is discarded.  ``needs`` — what
+    :func:`_resolve_node` must find on this node and hands the handler:
+    ``None`` (the service), ``"store"`` (an attached engine with a
+    generation directory), ``"primary"`` (an attached engine that takes
+    writes) or ``"log"`` (a primary's replication log).  A handler returns
+    ``(status, record)``, or ``None`` once it has streamed its own response.
+    """
+
+    handler: Callable
+    body: str = "ignored"
+    needs: Optional[str] = None
+
+
+#: ``(method, path) -> Route``: every endpoint the server has.  Adding one is
+#: an entry here plus its handler; the dispatcher does not change.
+ROUTES: Dict[Tuple[str, str], Route] = {
+    # The service's full stats record (same index schema as ``repro-rambo
+    # info --json``); ``?fill=1`` adds the payload-scanning fill statistics.
+    ("GET", "/stats"): Route(ServeRequestHandler._handle_stats),
+    # ``{"ok", "snapshot_id", "documents", "role", "ready", "wal_attached",
+    # "replication_lag"[, "generation"]}`` — cheap liveness; 503 with
+    # ``"ok": false`` while a standby has not caught up.
+    ("GET", "/healthz"): Route(ServeRequestHandler._handle_healthz),
+    # ``{"terms": [...], "method": "full"|"sparse", "backend":
+    # "auto"|"full"|"sparse", "filters": {field: value-or-list}, "canonical":
+    # bool, "coalesce": bool}``.  Terms may be integer k-mer codes or
+    # strings; k-length DNA strings are normalised to codes server-side with
+    # the same rule the CLI build/query path uses.  ``backend`` supersedes
+    # ``method`` when present: ``"auto"`` lets the cost-based planner pick
+    # the evaluation strategy per batch (resolved before coalescing, so auto
+    # requests still share ticks), and the response then carries a ``"plan"``
+    # record.  ``filters`` restrict results to documents matching the served
+    # index's metadata sidecar (normalise-and-match; requires an index built
+    # with metadata).  Returns ``{"snapshot_id": id, "results": [{"term":
+    # <as sent>, "documents": [...sorted], "filters_probed": n}], "plan":
+    # {...}}``.  ``"coalesce": false`` requests the uncoalesced direct path
+    # (benchmark baseline).
+    ("POST", "/query"): Route(ServeRequestHandler._handle_query, body="json"),
+    # ``{"path": "...", "mode": "r"}``: open that index file and swap it in
+    # atomically.  In-flight queries drain against the old snapshot.  Returns
+    # ``{"snapshot_id", "documents", "path"}``; a file that does not open is
+    # a 400 and leaves the served snapshot in place.
+    ("POST", "/rotate"): Route(ServeRequestHandler._handle_rotate, body="json"),
+    # ``{"documents": [{"name": ..., "terms": [...]} | {"name": ...,
+    # "sequences": [...]}], "canonical": bool, "min_count": n >= 1}``.
+    # Streaming ingest (``serve --wal``): each document is either a ready
+    # term list (codes or k-length DNA strings, normalised like query terms)
+    # or raw sequences run through the server-side k-mer extractor.  The
+    # batch is WAL-fsynced — and, under ``--replica-ack N``, applied by N
+    # standbys — before the 200: the response *is* the durability
+    # acknowledgement.  Returns ``{"appended": n, "snapshot_id": id,
+    # "delta_documents": n, "wal_bytes": n}``.
+    ("POST", "/append"): Route(ServeRequestHandler._handle_append, body="json", needs="primary"),
+    # No parameters.  Folds the delta into a new snapshot generation and
+    # truncates the WAL; returns the compaction record, or ``{"compacted":
+    # false}`` when the delta is empty.
+    ("POST", "/compact"): Route(ServeRequestHandler._handle_compact, needs="primary"),
+    # No parameters.  Turns a standby into the primary — a role flip on its
+    # live generation store — and is idempotent on a node that already is
+    # one.  Returns ``{"promoted": bool, "role", "generation"}``.
+    ("POST", "/promote"): Route(ServeRequestHandler._handle_promote, needs="store"),
+    # ``?generation=G&offset=N&wait_s=S&max_bytes=B``: the committed WAL
+    # record frames of generation ``G`` from record ``N`` on, verbatim
+    # (length + CRC32 + payload), as a chunked octet stream that long-polls
+    # up to ``S`` (<= 60) seconds for more.  ``X-Wal-Generation``,
+    # ``X-Wal-Start-Offset`` and ``X-Wal-Records`` (committed so far) lead
+    # it.  409 once ``G`` is retired: re-sync from ``/wal/snapshot``.
+    ("GET", "/wal/stream"): Route(ServeRequestHandler._handle_wal_stream, needs="log"),
+    # The serving base artifact's bytes, for standby bootstrap and re-sync,
+    # with its generation in ``X-Wal-Generation`` and ``X-Content-Sha256``
+    # to verify the transfer end to end: a snapshot is raw bitmap bytes, and
+    # a flipped bit would silently poison every answer the standby serves.
+    ("GET", "/wal/snapshot"): Route(ServeRequestHandler._handle_wal_snapshot, needs="store"),
+    # ``{"peer": id, "generation": G, "records": N}`` (non-negative
+    # integers): standby ``id`` has durably applied the first ``N`` records
+    # of generation ``G``.  Refreshes the peer's lease and releases
+    # semi-sync appends waiting on that prefix.  Returns ``{"ok": true,
+    # "replica_ack": quorum}``.
+    ("POST", "/wal/ack"): Route(ServeRequestHandler._handle_wal_ack, body="json", needs="log"),
+}
 
 
 def start_http_server(

@@ -36,6 +36,7 @@ from repro.serve import (
     canonical_term,
     start_http_server,
 )
+from repro.serve.http import ROUTES
 
 CONFIG = RamboConfig(num_partitions=6, repetitions=3, bfu_bits=1 << 13, k=7, seed=9)
 
@@ -599,6 +600,7 @@ class TestHTTPServer:
         assert stats["index"]["documents"] == index.num_documents
         assert "fill_ratio" not in stats["index"]
         assert client.stats(fill=True)["index"]["fill_ratio"]["max"] <= 1.0
+        assert "fill_ratio" not in client._request("/stats?nofill=10")["index"]
         # The HTTP stats record is the same schema the service reports.
         assert set(stats) == set(service.stats())
 
@@ -755,6 +757,10 @@ class TestTransport:
             ("/wal/ack", False, 400, "accepts no replication acks"),
             ("/wal/ack", True, 400, "accepts no replication acks"),
             ("/nope", False, 404, "unknown endpoint"),
+            ("/compact", False, 400, "streaming ingest is not enabled"),
+            ("/compact", True, 503, "read-only replica"),
+            ("/promote", False, 400, "streaming ingest is not enabled"),
+            ("/promote", True, 400, "streaming ingest is not enabled"),
         ],
     )
     def test_a_refused_write_leaves_the_connection_framed(
@@ -809,6 +815,158 @@ class TestTransport:
             assert response.getheader("Connection") == "close"
             assert "Content-Length" in json.loads(body)["error"]
             assert sock.recv(1) == b""  # the server hung up; nothing is left to mis-parse
+
+
+class TestRequestPipeline:
+    """Every route of ``ROUTES`` x every kind of node x every kind of body:
+    an answer in {2xx, 4xx, 503} within the deadline, and afterwards a
+    connection that is either announced closed and closed, or still framed
+    — a valid query on the same socket answers bit-identically to local."""
+
+    #: What a route needs beyond its path for the "valid" request; a route
+    #: missing here is walked with no query string and ``{}`` / no body.
+    QUERY = {
+        ("GET", "/stats"): "?fill=1",
+        ("GET", "/wal/stream"): "?generation=0&offset=0&wait_s=0",
+    }
+    VALID = {
+        ("POST", "/query"): {"terms": TERM_POOL[:8], "method": "sparse"},
+        ("POST", "/append"): {"documents": [{"name": "walked", "terms": [3, 4]}], "min_count": 2},
+        ("POST", "/wal/ack"): {"peer": "p", "generation": 0, "records": 0},
+    }
+    BODIES = {
+        "garbage": b"\xffx" * (100 << 10),
+        "empty": b"",
+        "array": b"[]",
+        "string": b'"x"',
+        "null": b"null",
+    }
+
+    @pytest.fixture(scope="class")
+    def nodes(self, tmp_path_factory):
+        """``{kind: (port, service, base path)}``: one live server per kind of node."""
+        from repro.ingest.engine import IngestEngine
+
+        running = {}
+        for kind in ("primary", "standby", "static"):
+            root = tmp_path_factory.mktemp(kind)
+            save_index(_build_index(), root / "base.rambo2", format="mmap")
+            service = QueryService.open(root / "base.rambo2", tick_seconds=0.001)
+            if kind == "primary":
+                service.attach_ingest(IngestEngine(service, root / "wal", fsync=False))
+            elif kind == "standby":
+                service.attach_ingest(_NotReadyIngest())
+            server, _thread = start_http_server(service)
+            running[kind] = server, service, str(root / "base.rambo2")
+        yield {
+            kind: (server.server_address[1], service, path)
+            for kind, (server, service, path) in running.items()
+        }
+        for server, service, _ in running.values():
+            server.shutdown()
+            server.server_close()
+            service.close()
+
+    @staticmethod
+    def exchange(port, service, request: bytes, verb: str = "POST"):
+        """Send *request*, check the invariant, return ``(status, payload bytes)``."""
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(request)
+            response = http.client.HTTPResponse(sock, method=verb)
+            response.begin()  # a dropped or hung exchange raises here
+            payload = response.read()
+            status = response.status
+            assert 200 <= status < 500 or status == 503, (status, payload[:200])
+            if response.getheader("Connection") == "close":
+                assert sock.recv(1) == b""  # announced and done: nothing left to mis-parse
+                return status, payload
+            terms = TERM_POOL[:8]
+            body = json.dumps({"terms": terms}).encode()
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+            )
+            follow_up = http.client.HTTPResponse(sock, method="POST")
+            follow_up.begin()
+            answer = json.loads(follow_up.read())
+            assert follow_up.status == 200, answer
+            with service.snapshots.lease() as snapshot:
+                assert answer["snapshot_id"] == snapshot.snapshot_id
+                expected = _reference(snapshot.index, terms)
+            served = [(entry["documents"], entry["filters_probed"]) for entry in answer["results"]]
+            assert served == [(sorted(want.documents), want.filters_probed) for want in expected]
+            return status, payload
+
+    @staticmethod
+    def request(verb: str, target: str, body) -> bytes:
+        head = f"{verb} {target} HTTP/1.1\r\nHost: t\r\n"
+        if body is not None:
+            head += f"Content-Length: {len(body)}\r\n"
+        return head.encode() + b"\r\n" + (body or b"")
+
+    @pytest.mark.parametrize("kind", ["valid", *BODIES])
+    @pytest.mark.parametrize("name", ["primary", "standby", "static"])
+    @pytest.mark.parametrize("route", sorted(ROUTES), ids="{0[0]} {0[1]}".format)
+    def test_every_route_answers_and_leaves_the_connection_usable(self, nodes, route, name, kind):
+        port, service, base_path = nodes[name]
+        verb, path = route
+        if kind != "valid":
+            body = self.BODIES[kind]
+        elif ROUTES[route].body == "json":
+            body = json.dumps(self.VALID.get(route, {"path": base_path})).encode()
+        else:
+            body = None
+        status, payload = self.exchange(
+            port, service, self.request(verb, path + self.QUERY.get(route, ""), body), verb
+        )
+        if kind == "valid" and name == "primary":
+            assert status == 200, payload[:200]
+
+    APPEND = b'{"documents":[{"name":"z","terms":[1]}],"min_count":%s}'
+
+    @pytest.mark.parametrize(
+        "verb, target, body, field",
+        [
+            ("POST", "/wal/ack", b'{"peer":"p","generation":1e999,"records":1}', "generation"),
+            ("POST", "/wal/ack", b'{"peer":"p","generation":1,"records":-Infinity}', "records"),
+            ("POST", "/wal/ack", b'{"peer":"p","generation":"1","records":1}', "generation"),
+            ("POST", "/wal/ack", b'{"peer":"p","generation":1.5,"records":1}', "generation"),
+            ("POST", "/wal/ack", b'{"peer":"p","generation":1,"records":-1}', "records"),
+            ("POST", "/append", APPEND % b"Infinity", "min_count"),
+            ("POST", "/append", APPEND % b"0", "min_count"),
+            ("POST", "/append", APPEND % b"1.0", "min_count"),
+            ("POST", "/append", APPEND % b"true", "min_count"),
+            ("GET", "/wal/stream?generation=0&offset=0&wait_s=nan", None, "wait_s"),
+            ("GET", "/wal/stream?generation=0&offset=0&wait_s=NaN", None, "wait_s"),
+            ("GET", "/wal/stream?generation=0&offset=0&wait_s=inf", None, "wait_s"),
+            ("GET", "/wal/stream?generation=0&offset=0&wait_s=1e999", None, "wait_s"),
+            ("GET", "/wal/stream?generation=0&offset=0&wait_s=-1", None, "wait_s"),
+            ("GET", "/wal/stream?generation=0&offset=0&wait_s=abc", None, "wait_s"),
+            ("GET", "/wal/stream?generation=0&offset=-1&wait_s=0", None, "offset"),
+            ("GET", "/wal/stream?generation=-1&offset=0&wait_s=0", None, "generation"),
+            ("GET", "/wal/stream?generation=0&offset=0&wait_s=0&max_bytes=-1", None, "max_bytes"),
+            ("GET", "/wal/stream?generation=0&offset=0&wait_s=0&max_bytes=1e3", None, "max_bytes"),
+            ("POST", "/query", b'{"terms":[1],"method":[]}', "method"),
+            ("POST", "/query", b'{"terms":[18446744073709551616]}', "terms"),
+            ("POST", "/query", b'{"terms":[-1]}', "terms"),
+            ("POST", "/query", b'{"terms":[1],"coalesce":"no"}', "coalesce"),
+            ("POST", "/query", b"[" * 200_000, "malformed JSON"),
+            ("POST", "/query", b"9" * 5000, "malformed JSON"),
+            ("POST", "/rotate", b'{"path":["x"]}', "path"),
+        ],
+    )
+    def test_a_hostile_value_is_a_400_naming_the_field(self, nodes, verb, target, body, field):
+        port, service, _ = nodes["primary"]
+        status, payload = self.exchange(port, service, self.request(verb, target, body), verb)
+        assert status == 400 and field in json.loads(payload)["error"], payload[:200]
+
+    def test_wait_for_records_ends_on_a_nan_timeout(self, nodes):
+        """The log's own guard: no caller can make the wait spin forever."""
+        _, service, _ = nodes["primary"]
+        generation, committed = service.ingest.store.position()  # caught up: it must wait
+        started = time.monotonic()
+        log = service.ingest.replication
+        assert log.wait_for_records(generation, committed, float("nan")) is False
+        assert time.monotonic() - started < 1.0
 
 
 class TestClientFaultPaths:
