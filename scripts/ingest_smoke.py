@@ -15,7 +15,10 @@ real ``SIGKILL`` — no in-process shortcuts, no clean shutdown:
    base + durable set, with answers bit-identical to a local
    from-scratch build of those documents;
 6. compact through ``POST /compact``, append more through the
-   ``repro-rambo ingest`` CLI, and re-check identity.
+   ``repro-rambo ingest`` CLI, and re-check identity;
+7. run compaction cycles (two appends, ``POST /compact``) and assert the
+   delta's buffers outlive them: ``/stats`` shows no new full copy after
+   the second cycle and the same ``buffer_bytes`` after every one.
 
 Exit code 0 means an acknowledged append survives ``kill -9``.  Needs
 only numpy — run as ``PYTHONPATH=src python scripts/ingest_smoke.py``.
@@ -47,6 +50,7 @@ CONFIG = RamboConfig(num_partitions=4, repetitions=2, bfu_bits=1 << 14, k=K, see
 BASE_DOCUMENTS = 8
 APPEND_BATCHES = 12
 DOCS_PER_BATCH = 2
+COMPACT_CYCLES = 5
 READY_TIMEOUT_S = 30.0
 
 
@@ -105,13 +109,16 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="ingest-smoke-") as tmp:
         directory = Path(tmp)
         dataset = ENADatasetBuilder(k=K, genome_length=900, seed=37).build(
-            BASE_DOCUMENTS + APPEND_BATCHES * DOCS_PER_BATCH + 4,
+            BASE_DOCUMENTS + APPEND_BATCHES * DOCS_PER_BATCH + 4 + 2 * COMPACT_CYCLES,
             file_format="mccortex",
         )
         documents = dataset.documents
         base_docs = documents[:BASE_DOCUMENTS]
         stream = documents[BASE_DOCUMENTS : BASE_DOCUMENTS + APPEND_BATCHES * DOCS_PER_BATCH]
-        cli_docs = documents[BASE_DOCUMENTS + APPEND_BATCHES * DOCS_PER_BATCH :]
+        cli_docs = documents[
+            BASE_DOCUMENTS + APPEND_BATCHES * DOCS_PER_BATCH : -2 * COMPACT_CYCLES
+        ]
+        cycle_docs = documents[-2 * COMPACT_CYCLES :]
         terms = sorted({int(t) for doc in documents for t in list(doc.terms)[:6]})[:48]
 
         base = Rambo(CONFIG)
@@ -226,6 +233,34 @@ def main() -> int:
                 f"[ingest_smoke] compacted to generation "
                 f"{stats['ingest']['generation']}, CLI-ingested {len(cli_docs)} "
                 f"more; identity holds over {len(terms)} terms"
+            )
+
+            # -- phase 5: compaction cycles reuse the delta's buffers ------------------
+            deltas = []
+            for cycle in range(COMPACT_CYCLES):
+                for doc in cycle_docs[2 * cycle : 2 * cycle + 2]:
+                    client.append(
+                        [{"name": doc.name, "terms": [int(t) for t in doc.term_codes()]}]
+                    )
+                if not client.compact().get("compacted"):
+                    raise SystemExit(f"compaction cycle {cycle} refused")
+                deltas.append(client.stats()["ingest"]["delta"])
+            copies = [delta["full_copies"] for delta in deltas]
+            buffers = [delta["buffer_bytes"] for delta in deltas]
+            if len(set(copies[1:])) != 1 or len(set(buffers)) != 1:
+                raise SystemExit(
+                    f"compaction cycles allocated: full_copies {copies}, "
+                    f"buffer_bytes {buffers}"
+                )
+            check_identity(
+                client,
+                list(base_docs) + durable_docs + list(cli_docs) + list(cycle_docs),
+                terms,
+                "post-cycles",
+            )
+            print(
+                f"[ingest_smoke] {COMPACT_CYCLES} compaction cycles: full copies "
+                f"{copies[-1]}, buffer_bytes {buffers[-1]} throughout"
             )
         finally:
             process.terminate()

@@ -38,7 +38,7 @@ from repro.core.rambo import Rambo, RamboConfig
 from repro.kmers.extraction import KmerDocument
 
 
-def merge_indexes(parts: Sequence[Rambo]) -> Rambo:
+def merge_indexes(parts: Sequence[Rambo], out: Optional[Sequence[np.ndarray]] = None) -> Rambo:
     """Merge partial RAMBO indexes built over disjoint documents.
 
     All parts must share one :class:`RamboConfig` — B, R, BFU geometry and
@@ -46,6 +46,10 @@ def merge_indexes(parts: Sequence[Rambo]) -> Rambo:
     k-mers the documents were indexed with — and no document name may appear
     in more than one part.  The result is equivalent to having inserted
     every document into a single index sequentially.
+
+    *out*, when given, is ``R`` writable planes the merged bits overwrite
+    instead of fresh ones; the result adopts them, so it is valid only
+    while the caller leaves them alone.
     """
     if not parts:
         raise ValueError("cannot merge an empty list of indexes")
@@ -62,15 +66,15 @@ def merge_indexes(parts: Sequence[Rambo]) -> Rambo:
                 raise ValueError(f"document {name!r} appears in more than one partial index")
             seen.add(name)
 
-    # BFU merge: one raw OR per part and repetition, straight on the
-    # (B, words) planes — no per-filter union loop.  The accumulators become
-    # the merged index's planes.
+    # BFU merge: one copy and then one raw OR per part and repetition,
+    # straight on the (B, words) planes — no per-filter union loop.  The
+    # accumulators become the merged index's planes.
+    shape = (config.num_partitions, config.words_per_bfu)
     planes = []
     for r in range(config.repetitions):
-        accumulator = np.zeros(
-            (config.num_partitions, config.words_per_bfu), dtype=np.uint64
-        )
-        for part in parts:
+        accumulator = np.empty(shape, dtype=np.uint64) if out is None else out[r]
+        np.copyto(accumulator, parts[0].planes[r])
+        for part in parts[1:]:
             np.bitwise_or(accumulator, part.planes[r], out=accumulator)
         planes.append(accumulator)
 

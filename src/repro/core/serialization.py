@@ -199,16 +199,17 @@ def load_index(path: PathLike) -> Rambo:
 def save_index_mmap(index: Rambo, path: PathLike, sidecar_name: Optional[str] = None) -> int:
     """Write *index* in the v2 container for zero-copy serving.
 
-    The planes are stacked into one contiguous
-    ``(repetitions, partitions, words_per_bfu)`` block — the one copy a save
-    makes — so an opened index serves straight from the mapping.  Returns
-    the number of bytes written.
+    The planes are written back to back as one contiguous
+    ``(repetitions, partitions, words_per_bfu)`` block — streamed plane by
+    plane, so a save allocates nothing the size of the index — and an
+    opened index serves straight from the mapping.  Returns the number of
+    bytes written.
     """
     header = dict(_index_header(index))
     header["kind"] = "rambo"
     if sidecar_name is not None:
         header["metadata_sidecar"] = sidecar_name
-    return write_container(path, header, np.stack(_own_planes(index)))
+    return write_container(path, header, _own_planes(index))
 
 
 def open_index_mmap(path: PathLike, mode: str = "r") -> Rambo:

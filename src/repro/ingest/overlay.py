@@ -88,8 +88,8 @@ class DeltaOverlayIndex(Rambo):
             )
         if delta_planes is None:
             delta_planes = [plane.copy() for plane in delta.planes]
+        # Nothing of *delta* is kept: LiveDelta.reset() rewrites its planes.
         self._base = base
-        self._delta = delta
         # Each plane is a (base_plane, delta_plane) pair: probe_words_batch
         # ORs the gathered bytes of the two, which equals probing the
         # OR-merged plane — the from-scratch index's bits.  What an append
@@ -138,11 +138,6 @@ class DeltaOverlayIndex(Rambo):
         return self._base
 
     @property
-    def delta(self) -> Rambo:
-        """The delta index this view was published from (it may have grown since)."""
-        return self._delta
-
-    @property
     def num_delta_documents(self) -> int:
         """Documents served from the delta plane (not yet compacted)."""
         return self.num_documents - self._base.num_documents
@@ -175,6 +170,9 @@ class _FrozenPlanes:
     planes: List[np.ndarray]
     #: Delta documents whose bits these planes hold (a prefix of the delta).
     documents: int = 0
+    #: Set by :meth:`LiveDelta.reset`: the planes hold an older delta's
+    #: bits, no prefix of the live one, and catch up with a whole copy.
+    stale: bool = False
     #: The snapshot whose overlay probes these planes; None while unknown.
     snapshot: Optional[object] = None
 
@@ -209,28 +207,45 @@ class LiveDelta:
     ``query_direct``, ``resolve_backend`` and ``stats`` all do), no lease
     can be taken on a retired snapshot, and a drained snapshot drops its
     index.  Code that keeps a served overlay *without* a lease may see its
-    delta bits advance after later appends.  When no set has drained — a
-    cold start, or a reader still holding an older lease — the publish
-    falls back to a full copy, and drained extras are dropped on reuse, so
-    the pool stays at two or three sets.
+    delta bits advance after later appends.
+
+    **Buffers that outlive a generation.**  The live planes, the frozen
+    sets and the merge accumulator are rewritten in place, so a warm
+    compaction cycle allocates no array the size of the index:
+    :meth:`reset` zeroes the live planes and marks every set ``stale`` (a
+    stale set catches up with a whole-plane copy into its own buffer), and
+    :meth:`_freeze` keeps a drained spare while the pool holds fewer than
+    the two sets alternating publishes need.  Only when no set has drained
+    — a cold start, or a reader holding an older lease — does a publish
+    copy into a new set (counted in ``full_copies``).
 
     Not thread-safe: the owning engine calls every method under its ingest
     lock, in WAL fsync -> :meth:`absorb` -> :meth:`publish` order.
     """
 
     def __init__(self, config: RamboConfig) -> None:
-        self._config = config
-        self.reset()
+        self._index = Rambo(config)
+        self._frozen: List[_FrozenPlanes] = []
+        self._accumulator: Optional[List[np.ndarray]] = None
+        #: Publishes that found no drained set and copied into a new one.
+        self.full_copies = 0
 
     def reset(self) -> None:
-        """Start over with an empty delta.
+        """Start over with an empty delta, in the same buffers.
 
         Called once the delta has been folded into a new base (compaction)
-        or its base replaced (standby re-sync).  The frozen sets are
-        abandoned to whatever overlays still drain on them.
+        or its base replaced (standby re-sync).  The frozen sets stay in
+        the pool, stale; those still leased keep their bits until they
+        drain.
         """
-        self._index = Rambo(self._config)
-        self._frozen: List[_FrozenPlanes] = []
+        live = self._index
+        for array in (*live.planes, live.insert_counts):
+            array.fill(0)
+        self._index = Rambo.from_planes(
+            live.config, live.planes, [], [[] for _ in live.planes], items=live.insert_counts
+        )
+        for frozen in self._frozen:
+            frozen.stale = True
 
     # -- state -------------------------------------------------------------------------
 
@@ -242,9 +257,19 @@ class LiveDelta:
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
-    def size_in_bytes(self) -> int:
-        """Size of the live delta index (planes + bookkeeping)."""
-        return self._index.size_in_bytes()
+    def stats(self) -> Dict[str, int]:
+        """The ``delta`` block of ``/stats``: ``size_bytes`` is the live
+        index, ``buffer_bytes`` every plane owned here (live, frozen pool,
+        merge accumulator) — constant across warm compactions."""
+        planes = list(self._index.planes) + list(self._accumulator or [])
+        planes += [plane for frozen in self._frozen for plane in frozen.planes]
+        return {
+            "documents": self.num_documents,
+            "size_bytes": self._index.size_in_bytes(),
+            "frozen_sets": len(self._frozen),
+            "full_copies": self.full_copies,
+            "buffer_bytes": sum(plane.nbytes for plane in planes),
+        }
 
     # -- the write path ----------------------------------------------------------------
 
@@ -277,8 +302,15 @@ class LiveDelta:
         return len(fresh)
 
     def merged_with(self, base: Rambo) -> Rambo:
-        """``base`` with the delta folded in (compaction's new generation)."""
-        return merge_indexes((base, self._index))
+        """``base`` with the delta folded in (compaction's new generation).
+
+        The result adopts this delta's merge accumulator, which the next
+        call overwrites: it is valid only until the next compaction, so
+        ``IngestEngine.compact()``, which saves it at once, is the only caller.
+        """
+        if self._accumulator is None:
+            self._accumulator = [np.empty_like(plane) for plane in self._index.planes]
+        return merge_indexes((base, self._index), out=self._accumulator)
 
     def publish(self, service, base: Rambo, base_path):
         """Serve ``base`` + everything absorbed from now on.
@@ -305,17 +337,23 @@ class LiveDelta:
         """A frozen plane set holding exactly the live delta's bits."""
         live = self._index
         drained = [frozen for frozen in self._frozen if frozen.drained]
+        undrained = [frozen for frozen in self._frozen if not frozen.drained]
         if drained:
-            frozen = max(drained, key=lambda candidate: candidate.documents)
-            self._frozen = [
-                other for other in self._frozen if other is frozen or other not in drained
-            ]
+            # The pool is in publish order: the first drained set has waited
+            # longest, so one released after a long lease is reclaimed.
+            frozen = drained[0]
             for r, plane in enumerate(frozen.planes):
-                unseen = live.assignments[r][frozen.documents :]
-                for b in set(unseen):
+                if frozen.stale:
+                    np.copyto(plane, live.planes[r])
+                    continue
+                for b in set(live.assignments[r][frozen.documents :]):
                     plane[b] = live.planes[r][b]
         else:
             frozen = _FrozenPlanes([plane.copy() for plane in live.planes])
-            self._frozen.append(frozen)
+            self.full_copies += 1
+        # A drained spare survives only while the pool would otherwise hold
+        # fewer than two sets — after reset(), when both have drained.
+        self._frozen = undrained + drained[1 : 2 - len(undrained)] + [frozen]
         frozen.documents = self.num_documents
+        frozen.stale = False
         return frozen

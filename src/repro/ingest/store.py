@@ -386,10 +386,7 @@ class GenerationStore:
                     "replayed_documents": self.recovery["replayed_documents"],
                     "torn_bytes_truncated": self.recovery["torn_bytes_truncated"],
                 },
-                "delta": {
-                    "documents": self.delta.num_documents,
-                    "size_bytes": self.delta.size_in_bytes(),
-                },
+                "delta": self.delta.stats(),
             }
 
     def healthz(self, role: str, ready: bool = True, replication_lag: int = 0) -> Dict:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -99,7 +99,7 @@ def detect_format(path: PathLike) -> str:
     raise DiskFormatError(f"{path} is not a RAMBO index file (bad magic {prefix!r})")
 
 
-def write_container(path: PathLike, header: Dict, payload: np.ndarray) -> int:
+def write_container(path: PathLike, header: Dict, payload: Union[np.ndarray, Sequence]) -> int:
     """Write one v2 container; returns the number of bytes written.
 
     Parameters
@@ -109,21 +109,28 @@ def write_container(path: PathLike, header: Dict, payload: np.ndarray) -> int:
         :data:`FORMAT_VERSION` if absent (tests craft mismatched versions on
         purpose); the ``payload`` descriptor is filled in here.
     payload:
-        The index's backing words as one C-contiguous ``uint64`` array; its
-        shape is preserved so the opener can map it back without reshaping
+        The index's backing words: one ``uint64`` array, or a sequence of
+        equally shaped ones (RAMBO's per-repetition planes) written back to
+        back — the bytes of their stack, without materialising it.  The
+        shape is recorded so the opener can map it back without reshaping
         arithmetic of its own.
 
     Raises
     ------
     DiskFormatError
-        If *payload* is not a ``uint64`` array.
+        If a payload part is not ``uint64`` or the parts disagree on shape.
     """
-    payload = np.ascontiguousarray(payload)
-    if payload.dtype != np.uint64:
-        raise DiskFormatError(f"payload must be uint64 words, got dtype {payload.dtype}")
+    single = isinstance(payload, np.ndarray)
+    parts = [payload] if single else list(payload)
+    for part in parts:
+        if part.dtype != np.uint64:
+            raise DiskFormatError(f"payload must be uint64 words, got dtype {part.dtype}")
+        if part.shape != parts[0].shape:
+            raise DiskFormatError(f"payload parts disagree on shape: {part.shape}")
+    shape = payload.shape if single else (len(parts), *parts[0].shape)
     header = dict(header)
     header.setdefault("format_version", FORMAT_VERSION)
-    header["payload"] = {"shape": list(payload.shape), "nbytes": int(payload.nbytes)}
+    header["payload"] = {"shape": list(shape), "nbytes": sum(part.nbytes for part in parts)}
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     payload_offset = _align8(_PRELUDE + len(header_bytes))
     padding = payload_offset - (_PRELUDE + len(header_bytes))
@@ -135,12 +142,13 @@ def write_container(path: PathLike, header: Dict, payload: np.ndarray) -> int:
         handle.write(len(header_bytes).to_bytes(8, "little"))
         handle.write(header_bytes)
         handle.write(b"\x00" * padding)
-        # tofile streams the words without materialising a bytes copy of the
-        # payload (which at serving scale would double peak memory); it
-        # writes through the fd directly, so flush the buffered prelude
-        # first to keep the bytes in order.
+        # tofile streams the words (in C order) without materialising a
+        # bytes copy of the payload (which at serving scale would double
+        # peak memory); it writes through the fd directly, so flush the
+        # buffered prelude first to keep the bytes in order.
         handle.flush()
-        payload.astype(WORD_DTYPE, copy=False).tofile(handle)
+        for part in parts:
+            part.astype(WORD_DTYPE, copy=False).tofile(handle)
     return path.stat().st_size
 
 

@@ -65,7 +65,7 @@ def _fetch_snapshot(
             digest = hashlib.sha256()
             with open(tmp, "wb") as handle:
                 while True:
-                    chunk = response.read(1 << 20)
+                    chunk = response.read(1 << 16)
                     if not chunk:
                         break
                     digest.update(chunk)

@@ -495,7 +495,7 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         with handle:
             size = os.fstat(handle.fileno()).st_size
             digest = hashlib.sha256()
-            for chunk in iter(lambda: handle.read(1 << 20), b""):
+            for chunk in iter(lambda: handle.read(1 << 16), b""):
                 digest.update(chunk)
             handle.seek(0)
             self.send_response(200)
@@ -505,7 +505,7 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             self.send_header("X-Content-Sha256", digest.hexdigest())
             self.end_headers()
             try:
-                for chunk in iter(lambda: handle.read(1 << 20), b""):
+                for chunk in iter(lambda: handle.read(1 << 16), b""):
                     self.wfile.write(chunk)
                 # The buffered tail goes out here, where a standby that hung
                 # up mid-copy is still caught, not in handle_one_request's flush.

@@ -191,6 +191,11 @@ class TestCorruptionHandling:
         with pytest.raises(DiskFormatError, match="unsupported format version 3"):
             Rambo.open_mmap(path)
 
+    def test_payload_parts_must_share_one_shape(self, tmp_path):
+        parts = [np.zeros((2, 3), dtype=np.uint64), np.zeros((2, 4), dtype=np.uint64)]
+        with pytest.raises(DiskFormatError, match="disagree on shape"):
+            write_container(tmp_path / "ragged.rambo2", {"kind": "rambo"}, parts)
+
     def test_v1_loader_points_at_mmap_opener(self, mmap_path):
         with pytest.raises(ValueError, match="open_mmap"):
             load_index(mmap_path)

@@ -731,6 +731,21 @@ class TestPublishCost:
             assert not served[4][r].flags.writeable
         reference = build_reference(self.BIG, base_docs + docs)
         assert_identical(service.snapshots.active.index, reference, range(TERM_UNIVERSE))
+        # A compaction keeps the pool: both sets have drained after it, the
+        # drained spare is kept, and the two publishes after it reuse them
+        # (the one that waited longer first) instead of copying into new ones.
+        engine.compact()
+        after = [make_doc(f"m{i}", [20 + i, 50 + i]) for i in range(2)]
+        for doc in after:
+            engine.append([doc])
+            served.append(self.served_delta_planes(service))
+        for r in range(self.BIG.repetitions):
+            assert np.shares_memory(served[5][r], served[1][r])
+            assert np.shares_memory(served[6][r], served[0][r])
+        delta = engine.stats()["delta"]
+        assert delta["full_copies"] == 2 and delta["frozen_sets"] == 2
+        reference = build_reference(self.BIG, base_docs + docs + after)
+        assert_identical(service.snapshots.active.index, reference, range(TERM_UNIVERSE))
 
     def test_a_leased_overlay_keeps_its_planes_while_appends_go_on(self, big_stack):
         service, engine, base_docs = big_stack
@@ -752,6 +767,35 @@ class TestPublishCost:
         reference = build_reference(self.BIG, base_docs + docs)
         assert_identical(service.snapshots.active.index, reference, range(TERM_UNIVERSE))
 
+    def test_a_lease_held_across_a_compaction_keeps_its_set_until_released(self, big_stack):
+        """The last overlay of generation G, leased across ``compact()`` and
+        two appends of G+1: ``reset()`` rewrites buffers in place, never the
+        leased set; once released, G+1 reclaims that very set."""
+        service, engine, base_docs = big_stack
+        old = [make_doc(f"g{i}", [10 + i, 40 + i]) for i in range(3)]
+        new = [make_doc(f"h{i}", [20 + i, 50 + i]) for i in range(3)]
+        for doc in old:
+            engine.append([doc])
+        with service.snapshots.lease() as leased:
+            planes = [delta for _base, delta in leased.index.planes]
+            frozen = [plane.copy() for plane in planes]
+            engine.compact()
+            for doc in new[:2]:
+                engine.append([doc])
+            for plane, copy in zip(planes, frozen):
+                assert np.array_equal(plane, copy)
+            assert_identical(
+                leased.index,
+                build_reference(self.BIG, base_docs + old),
+                range(TERM_UNIVERSE),
+            )
+        assert leased.drained
+        engine.append([new[2]])
+        for plane, served in zip(planes, self.served_delta_planes(service)):
+            assert np.shares_memory(plane, served)
+        reference = build_reference(self.BIG, base_docs + old + new)
+        assert_identical(service.snapshots.active.index, reference, range(TERM_UNIVERSE))
+
     def test_one_append_allocates_far_less_than_the_delta(self, big_stack):
         """The deterministic guard against restacking the delta per append."""
         service, engine, _ = big_stack
@@ -767,6 +811,33 @@ class TestPublishCost:
         finally:
             tracemalloc.stop()
         assert peak - before < 1 << 20
+
+    def test_a_warm_compaction_cycle_allocates_no_plane(self, big_stack):
+        """Once one generation is warm, appends + ``compact()`` + appends
+        rewrite the buffers they have — live planes, frozen sets, merge
+        accumulator — and save without stacking: no plane-sized allocation
+        (a cold cycle makes several 4 MiB plane sets)."""
+        _, engine, _ = big_stack
+
+        def cycle(tag):
+            for i in range(3):
+                engine.append([make_doc(f"{tag}a{i}", [i, i + 7])])
+            engine.compact()
+            for i in range(3):
+                engine.append([make_doc(f"{tag}b{i}", [i + 20, i + 27])])
+
+        cycle("warm")
+        buffers = engine.stats()["delta"]["buffer_bytes"]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            cycle("measured")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1 << 20
+        assert engine.stats()["delta"]["buffer_bytes"] == buffers
 
 
 class _Code(int):

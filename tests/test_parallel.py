@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.parallel import ParallelBuilder, merge_indexes
@@ -47,6 +48,21 @@ class TestMergeIndexes:
         assert merged.document_names == part.document_names
         term = next(iter(small_dataset.documents[0].terms))
         assert merged.query_term(term).documents == part.query_term(term).documents
+
+    def test_merge_into_given_planes_overwrites_and_adopts_them(self, small_dataset):
+        """``out=`` is how a compactor reuses one accumulator: whatever the
+        planes held is overwritten, and the result is the fresh merge's bits
+        in the caller's buffers."""
+        cfg = config(k=small_dataset.k)
+        docs = small_dataset.documents
+        parts = [sequential_build(docs[:10], cfg), sequential_build(docs[10:20], cfg)]
+        out = [np.full_like(plane, np.iinfo(np.uint64).max) for plane in parts[0].planes]
+        merged = merge_indexes(parts, out=out)
+        fresh = merge_indexes(parts)
+        assert merged.document_names == fresh.document_names
+        for r, plane in enumerate(merged.planes):
+            assert plane is out[r]
+            assert np.array_equal(plane, fresh.planes[r])
 
     def test_merge_empty_list_rejected(self):
         with pytest.raises(ValueError):

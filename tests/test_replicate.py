@@ -31,6 +31,7 @@ import shutil
 import struct
 import tempfile
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 import zlib
@@ -112,10 +113,11 @@ def decode_stream(data: bytes):
 class Cluster:
     """A primary (service + engine + HTTP) plus an optional proxied standby."""
 
-    def __init__(self, root, **engine_kwargs):
+    def __init__(self, root, config=CONFIG, **engine_kwargs):
         self.root = Path(root)
+        self.config = config
         self.base_docs = [make_doc(f"base{i}", [i, i + 1, i + 2]) for i in range(4)]
-        base = build_reference(CONFIG, self.base_docs)
+        base = build_reference(config, self.base_docs)
         self.base_path = self.root / "base.rambo2"
         save_index(base, self.base_path, format="mmap")
         self.primary_wal = self.root / "primary-wal"
@@ -203,7 +205,7 @@ class Cluster:
         )
 
     def assert_node_identical(self, service):
-        reference = build_reference(CONFIG, self.acked)
+        reference = build_reference(self.config, self.acked)
         assert_identical(
             service.snapshots.active.index, reference, range(TERM_UNIVERSE)
         )
@@ -410,6 +412,43 @@ class TestReplicaEngine:
         names = {path.name for path in cluster.standby_wal.iterdir()}
         assert "wal-000000.log" not in names
         assert "snapshot-000000.rambo2" not in names
+
+    def test_a_warm_standby_follows_a_compaction_without_allocating_planes(self, tmp_path):
+        """A standby's follow ends in the same ``advance()`` -> ``reset()`` as
+        the primary's compaction.  Once one generation is warm, a cycle of
+        applies, a followed compaction and more applies rewrites the buffers
+        the standby has — and the primary's, which runs in this process
+        too: no plane-sized allocation on either node."""
+        big = RamboConfig(num_partitions=16, repetitions=2, bfu_bits=1 << 20, k=9, seed=11)
+        cluster = Cluster(tmp_path, config=big, fsync=False)
+        try:
+            replica = cluster.start_standby(fsync=False)
+
+            def cycle(tag):
+                for i in range(3):
+                    cluster.append([make_doc(f"{tag}a{i}", [i, i + 7])])
+                    cluster.wait_caught_up()
+                cluster.primary.compact()
+                for i in range(3):
+                    cluster.append([make_doc(f"{tag}b{i}", [i + 20, i + 27])])
+                    cluster.wait_caught_up()
+
+            cycle("warm")
+            buffers = replica.stats()["delta"]["buffer_bytes"]
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                cycle("measured")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert replica.generation == 2
+            assert peak - before < 1 << 20
+            assert replica.stats()["delta"]["buffer_bytes"] == buffers
+            cluster.assert_node_identical(cluster.standby_service)
+        finally:
+            cluster.close()
 
     def test_standby_crash_resumes_from_its_durable_cursor(self, cluster):
         cluster.start_standby()
