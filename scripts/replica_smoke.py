@@ -7,18 +7,21 @@ real ``SIGKILL`` — no in-process shortcuts:
 1. build a small mmap base index and start a primary
    (``repro-rambo serve --wal --replica-ack 1``) plus a standby
    (``repro-rambo serve --replicate-from``);
-2. append document batches through :class:`FailoverClient`, recording
+2. ``SIGINT`` a second standby while it tails the live, idle primary: it
+   must exit cleanly within 2 s — stopping a standby aborts the stream's
+   blocked read instead of waiting out the primary's long poll;
+3. append document batches through :class:`FailoverClient`, recording
    every *acknowledged* batch (with ``--replica-ack 1`` and a live
    standby lease, the 200 means the batch is durable on BOTH nodes);
-3. ``kill -9`` the primary mid-append-stream — the in-flight request
+4. ``kill -9`` the primary mid-append-stream — the in-flight request
    dies on the wire with unknown fate, which is exactly the point;
-4. promote the standby via ``POST /promote`` and measure the time from
+5. promote the standby via ``POST /promote`` and measure the time from
    the kill to the first successful answer;
-5. replay the standby's WAL directory locally and assert **zero
+6. replay the standby's WAL directory locally and assert **zero
    acknowledged-write loss**: every acknowledged document is durable on
    the survivor, and its served answers are bit-identical to a local
    from-scratch build of exactly that set;
-6. keep appending through the same ``FailoverClient`` (it fails over),
+7. keep appending through the same ``FailoverClient`` (it fails over),
    compact the new primary, and re-check identity.
 
 Exit code 0 means an acknowledged append survives the death of the node
@@ -54,6 +57,7 @@ APPEND_BATCHES = 10
 DOCS_PER_BATCH = 2
 KILL_AT_BATCH = 7
 READY_TIMEOUT_S = 60.0
+SIGINT_EXIT_S = 2.0
 
 
 def server_env() -> dict:
@@ -151,6 +155,32 @@ def check_identity(client, documents, terms, label: str) -> None:
                 )
 
 
+def check_sigint_exit(primary_url: str, directory: Path) -> None:
+    """A standby tailing a live, idle primary exits promptly on SIGINT."""
+    ready_file = directory / "second-ready"
+    second = start_standby(primary_url, directory / "second-wal", ready_file)
+    try:
+        second_url = wait_ready(ready_file, second, "second standby")
+        wait_standby_caught_up(second_url, "second standby")
+        time.sleep(0.2)  # now blocked in the primary's long poll
+        second.send_signal(signal.SIGINT)
+        started = time.monotonic()
+        try:
+            code = second.wait(timeout=SIGINT_EXIT_S)
+        except subprocess.TimeoutExpired:
+            raise SystemExit(
+                f"a tailing standby did not exit within {SIGINT_EXIT_S}s of SIGINT"
+            ) from None
+        if code != 0:
+            raise SystemExit(f"a tailing standby exited with code {code} on SIGINT")
+        print(
+            f"[replica_smoke] tailing standby exited on SIGINT in "
+            f"{time.monotonic() - started:.3f}s"
+        )
+    finally:
+        stop(second)
+
+
 def stop(process: subprocess.Popen) -> None:
     if process.poll() is None:
         process.terminate()
@@ -193,6 +223,7 @@ def main() -> int:
             standby_url = wait_ready(directory / "standby-ready", standby, "standby")
             wait_standby_caught_up(standby_url, "initial sync")
             print(f"[replica_smoke] pair up: primary {primary_url}, standby {standby_url}")
+            check_sigint_exit(primary_url, directory)
 
             client = FailoverClient(
                 [primary_url, standby_url],

@@ -25,13 +25,9 @@ Stream protocol (client side of ``GET /wal/stream``):
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -39,15 +35,14 @@ from repro.ingest.engine import IngestEngine
 from repro.ingest.store import GenerationChanged, GenerationStore, PathLike
 from repro.io.walformat import CHECKSUM_MISMATCH, decode_document, iter_frames
 from repro.kmers.extraction import KmerDocument
+from repro.serve.client import Connection, ServeClientError
 
 
 class ReplicaError(RuntimeError):
     """A standby-side replication failure (stream damage, read-only writes)."""
 
 
-def _fetch_snapshot(
-    primary_url: str, store: GenerationStore, timeout: float
-) -> Tuple[Path, int]:
+def _fetch_snapshot(primary: Connection, store: GenerationStore) -> Tuple[Path, int]:
     """Download the primary's current base artifact into *store*; returns
     ``(path, generation)``.
 
@@ -56,23 +51,19 @@ def _fetch_snapshot(
     per-record CRC of its own, so transfer damage here would otherwise
     rotate straight into the standby's serving path.
     """
-    request = urllib.request.Request(primary_url + "/wal/snapshot")
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        generation = int(response.headers.get("X-Wal-Generation", "0"))
-        expected_digest = response.headers.get("X-Content-Sha256")
+    with primary.stream("/wal/snapshot") as (headers, chunks):
+        generation = int(headers.get("X-Wal-Generation", "0"))
+        expected_digest = headers.get("X-Content-Sha256")
 
         def download(tmp: Path) -> None:
             digest = hashlib.sha256()
             with open(tmp, "wb") as handle:
-                while True:
-                    chunk = response.read(1 << 16)
-                    if not chunk:
-                        break
+                for chunk in chunks:
                     digest.update(chunk)
                     handle.write(chunk)
             if expected_digest is not None and digest.hexdigest() != expected_digest:
                 raise ReplicaError(
-                    f"snapshot transfer from {primary_url} failed its checksum "
+                    f"snapshot transfer from {primary.base_url} failed its checksum "
                     f"(generation {generation}); retrying"
                 )
 
@@ -133,7 +124,11 @@ class ReplicaEngine:
         self.applied_documents = 0
         self._last_progress = time.monotonic()
         self._stop = threading.Event()
-        self._response = None
+        # Socket timeouts bound how long a byzantine stream (a stalled proxy,
+        # a flipped byte in the chunk framing) can wedge the tailer, and how
+        # long a wedged ack endpoint stalls the apply path acks run in.
+        self._primary = Connection(self.primary_url, self.poll_wait_s + self.read_timeout_s)
+        self._acks = Connection(self.primary_url, 2.0)
         self._thread: Optional[threading.Thread] = None
         self._promoted: Optional[IngestEngine] = None
 
@@ -165,19 +160,17 @@ class ReplicaEngine:
         """
         from repro.serve.service import QueryService
 
-        primary_url = primary_url.rstrip("/")
         store = GenerationStore(wal_dir, fsync=fsync)
         snapshot_path = store.committed_snapshot()
         if snapshot_path is None:
+            primary = Connection(primary_url, connect_timeout_s)
             deadline = time.monotonic() + connect_timeout_s
             delay = 0.05
             while True:
                 try:
-                    snapshot_path, generation = _fetch_snapshot(
-                        primary_url, store, connect_timeout_s
-                    )
+                    snapshot_path, generation = _fetch_snapshot(primary, store)
                     break
-                except (urllib.error.URLError, OSError, ReplicaError):
+                except (ServeClientError, ReplicaError):
                     if time.monotonic() >= deadline:
                         raise
                     time.sleep(delay)
@@ -212,26 +205,10 @@ class ReplicaEngine:
     def _send_ack(self) -> None:
         """Report the durable cursor to the primary (advisory: a lost ack
         only delays the semi-sync quorum until the next one)."""
-        body = json.dumps(
-            {
-                "peer": self.peer_id,
-                "generation": self.generation,
-                "records": self.applied,
-            }
-        ).encode("utf-8")
-        request = urllib.request.Request(
-            self.primary_url + "/wal/ack",
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        # The ack runs synchronously in the apply path, so its timeout
-        # bounds how long a wedged ack endpoint can stall replication;
-        # keep it short — acks are advisory and the next apply retries.
+        cursor = {"peer": self.peer_id, "generation": self.generation, "records": self.applied}
         try:
-            with urllib.request.urlopen(request, timeout=2.0):
-                pass
-        except (urllib.error.URLError, OSError):
+            self._acks.request("POST", "/wal/ack", cursor)
+        except ServeClientError:
             pass
 
     def _consume_frames(self, buffer: bytes) -> bytes:
@@ -265,71 +242,40 @@ class ReplicaEngine:
         self._thread.start()
 
     def _stream_once(self) -> None:
-        params = urllib.parse.urlencode(
-            {
-                "generation": self.generation,
-                "offset": self.applied,
-                "wait_s": self.poll_wait_s,
-                "max_bytes": self.max_read_bytes,
-            }
+        path = (
+            f"/wal/stream?generation={self.generation}&offset={self.applied}"
+            f"&wait_s={self.poll_wait_s}&max_bytes={self.max_read_bytes}"
         )
-        request = urllib.request.Request(f"{self.primary_url}/wal/stream?{params}")
         try:
-            # Socket timeout bounds how long a byzantine connection (a
-            # stalled proxy, a flipped byte in the chunked framing) can
-            # wedge the tailer before it drops and resumes from the cursor.
-            response = urllib.request.urlopen(
-                request, timeout=self.poll_wait_s + self.read_timeout_s
-            )
-        except urllib.error.HTTPError as exc:
-            if exc.code == 409:
-                try:
-                    generation = int(json.loads(exc.read().decode("utf-8"))["generation"])
-                except Exception:  # noqa: BLE001 - body shape is advisory
-                    generation = -1
-                # The primary's own GenerationChanged, carried back over the wire.
-                raise GenerationChanged(generation) from exc
-            raise
-        self._response = response
-        try:
-            advertised = int(response.headers.get("X-Wal-Records", "-1"))
-            if advertised >= 0:
+            with self._primary.stream(path) as (headers, chunks):
+                advertised = int(headers.get("X-Wal-Records", "-1"))
                 self.primary_records = max(self.primary_records, advertised)
-            # Refresh the ack lease on every (re)connect, not just on apply:
-            # an idle pair must not drift past the primary's peer TTL and
-            # silently degrade semi-sync while the standby is healthy.
-            self._send_ack()
-            buffer = b""
-            while not self._stop.is_set():
-                chunk = response.read1(1 << 16)
-                if not chunk:
-                    break
-                buffer += chunk
-                buffer = self._consume_frames(buffer)
+                # Refresh the ack lease on every (re)connect, not just on
+                # apply: an idle pair must not drift past the primary's peer
+                # TTL and silently degrade semi-sync while the standby is healthy.
+                self._send_ack()
+                buffer = b""
+                # Caught up once it holds all the primary had committed when it
+                # answered: at once on an idle pair, not after the first poll.
                 if self.applied >= self.primary_records:
                     self.ready = True
-            if buffer:
-                raise ReplicaError(
-                    f"stream ended mid-frame ({len(buffer)} dangling bytes)"
-                )
-            # A clean end-of-stream means the primary had nothing more
-            # within its wait window: the standby is caught up.
-            if self.applied >= self.primary_records:
-                self.ready = True
-        finally:
-            self._response = None
-            try:
-                response.close()
-            except OSError:
-                pass
+                for chunk in chunks:
+                    buffer = self._consume_frames(buffer + chunk)
+                    if self.applied >= self.primary_records:
+                        self.ready = True
+        except ServeClientError as exc:
+            if exc.status == 409:
+                # The primary's own GenerationChanged, carried back over the wire.
+                raise GenerationChanged(int((exc.record or {}).get("generation", -1))) from exc
+            raise
+        if buffer:
+            raise ReplicaError(f"stream ended mid-frame ({len(buffer)} dangling bytes)")
 
     def _follow_generation(self, generation: int) -> None:
         """Re-sync after a primary compaction: install its snapshot, then the
         same ``advance()`` the primary's compaction ended in, cursor back to 0."""
         self.snapshot_fetches += 1
-        snapshot_path, fetched_generation = _fetch_snapshot(
-            self.primary_url, self.store, 60.0
-        )
+        snapshot_path, fetched_generation = _fetch_snapshot(self._primary, self.store)
         if generation >= 0 and fetched_generation < generation:
             raise ReplicaError(
                 f"primary served snapshot generation {fetched_generation} "
@@ -353,21 +299,13 @@ class ReplicaEngine:
         delay = self.backoff_s
         while not self._stop.is_set():
             try:
-                self._stream_once()
-                self.last_error = None
-                delay = self.backoff_s
-            except GenerationChanged as moved:
                 try:
+                    self._stream_once()
+                    self.last_error = None
+                except GenerationChanged as moved:
                     self._follow_generation(moved.generation)
-                    delay = self.backoff_s
-                except Exception as exc:  # noqa: BLE001 - retried with backoff
-                    self.last_error = repr(exc)
-                    self.reconnects += 1
-                    self._stop.wait(delay)
-                    delay = min(delay * 2, self.backoff_cap_s)
+                delay = self.backoff_s
             except Exception as exc:  # noqa: BLE001 - retried with backoff
-                if self._stop.is_set():
-                    return
                 # Readiness is sticky once the initial replay caught up: a
                 # dropped stream (including a dead primary — the promotion
                 # case) must not flip a warm standby to 503.
@@ -433,12 +371,10 @@ class ReplicaEngine:
 
     def _stop_tailing(self, join_timeout_s: float = 10.0) -> None:
         self._stop.set()
-        response = self._response
-        if response is not None:
-            try:
-                response.close()
-            except OSError:
-                pass
+        # Wakes the tailer wherever it is blocked — stream, snapshot
+        # download or ack — instead of waiting out the primary's long poll.
+        self._primary.abort()
+        self._acks.abort()
         thread = self._thread
         if thread is not None and thread is not threading.current_thread():
             # A tailer stuck connecting to a dead primary can outlive the

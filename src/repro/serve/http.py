@@ -39,6 +39,8 @@ import hashlib
 import json
 import math
 import os
+import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
@@ -138,6 +140,24 @@ class ServeHTTPServer(ThreadingHTTPServer):
         self.service = service
         self.quiet = quiet
         super().__init__(address, ServeRequestHandler)
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` now, not at its next 0.5 s poll: connect
+        to our own socket, which wakes its ``select``, until the loop exits.
+        (A shorter poll would cost busy request threads GIL time.)"""
+        stopper = threading.Thread(target=super().shutdown, name="repro-serve-shutdown")
+        stopper.start()
+        while stopper.is_alive():
+            try:
+                socket.create_connection(self.server_address[:2], timeout=0.1).close()
+            except OSError:
+                pass
+            stopper.join(0.005)
+
+    def handle_error(self, request, client_address) -> None:
+        """A client that hung up mid-response (an aborted exchange) is routine."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
 
 def _resolve_node(service: QueryService, needs: Optional[str]):
@@ -480,8 +500,10 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
                     break  # retired mid-stream: the standby's re-request gets the 409
             self.wfile.write(b"0\r\n\r\n")
             self.wfile.flush()
-        except OSError:
-            pass  # standby went away mid-stream; its cursor makes resume safe
+        except Exception as exc:  # noqa: BLE001 - the 200 is already on the wire
+            # A JSON error now would land inside the chunked body: end without
+            # the terminating chunk — a torn body, never a clean caught-up end.
+            self.log_error("wal stream failed at record %d: %r", cursor, exc)
 
     def _handle_wal_snapshot(self, engine, _query: Fields) -> None:
         """Stream the serving base artifact (for standby bootstrap/re-sync).

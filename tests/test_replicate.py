@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import json
 import shutil
+import socket
 import struct
 import tempfile
+import threading
 import time
 import tracemalloc
 import urllib.error
@@ -52,6 +54,7 @@ from repro.ingest import store as store_module
 from repro.ingest.overlay import LiveDelta
 from repro.ingest.store import GenerationStore, ReplicationLagError
 from repro.io.walformat import (
+    WalFormatError,
     WalWriter,
     decode_document,
     encode_document,
@@ -62,7 +65,7 @@ from repro.io.walformat import (
 from repro.kmers.extraction import KmerDocument
 from repro.replicate import GenerationChanged, ReplicaEngine
 from repro.replicate.replica import ReplicaError
-from repro.serve.client import FailoverClient, ServeClient, ServeClientError
+from repro.serve.client import Connection, FailoverClient, ServeClient, ServeClientError
 from repro.serve.http import start_http_server
 from repro.serve.service import QueryService
 
@@ -110,6 +113,40 @@ def decode_stream(data: bytes):
     return documents
 
 
+@contextmanager
+def canned_server(reply: bytes):
+    """A raw-socket endpoint that reads each whole request, answers it with
+    *reply* verbatim and closes: a peer that dies or garbles mid-response."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        while True:
+            try:
+                connection, _ = listener.accept()
+            except OSError:
+                return
+            with connection:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    data = connection.recv(65536)
+                    if not data:
+                        break
+                    request += data
+                head, _, body = request.partition(b"\r\n\r\n")
+                for line in head.split(b"\r\n"):
+                    if line.lower().startswith(b"content-length:"):
+                        while len(body) < int(line.split(b":")[1]):
+                            body += connection.recv(65536)
+                connection.sendall(reply)
+
+    threading.Thread(target=serve, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
+
+
 class Cluster:
     """A primary (service + engine + HTTP) plus an optional proxied standby."""
 
@@ -124,6 +161,7 @@ class Cluster:
         self.standby_wal = self.root / "standby-wal"
         self.engine_kwargs = dict(engine_kwargs)
         self.acked = list(self.base_docs)
+        self._reference = (None, [], {})
         self.proxy = None
         self.standby_service = None
         self.standby_server = None
@@ -205,10 +243,25 @@ class Cluster:
         )
 
     def assert_node_identical(self, service):
-        reference = build_reference(self.config, self.acked)
-        assert_identical(
-            service.snapshots.active.index, reference, range(TERM_UNIVERSE)
-        )
+        # The reference's answers are computed once per acknowledged set —
+        # the state machine re-checks both nodes after every rule, and most
+        # rules acknowledge nothing — and a grown set only adds its new
+        # documents (``add_documents`` is bit-identical however the
+        # documents are batched).
+        reference, docs, expected = self._reference
+        if len(docs) > len(self.acked) or any(a is not b for a, b in zip(docs, self.acked)):
+            reference, docs = None, []
+        if reference is None or len(docs) < len(self.acked):
+            reference = reference or build_reference(self.config, [])
+            reference.add_documents(self.acked[len(docs) :])
+            expected = {
+                method: fingerprint(reference, range(TERM_UNIVERSE), method)
+                for method in ("full", "sparse")
+            }
+            self._reference = (reference, list(self.acked), expected)
+        served = service.snapshots.active.index
+        for method, answers in expected.items():
+            assert fingerprint(served, range(TERM_UNIVERSE), method) == answers
 
     def close(self):
         self.stop_standby()
@@ -322,6 +375,41 @@ class TestWalHttpEndpoints:
             assert response.headers["X-Wal-Generation"] == "0"
             body = response.read()
         assert body == cluster.base_path.read_bytes()
+
+    def test_a_stream_failing_after_its_headers_ends_without_a_terminator(
+        self, cluster, monkeypatch
+    ):
+        """Once the 200 is on the wire, a failure cuts the chunked body short:
+        no JSON error inside it, and no terminating chunk that would read as
+        a clean, caught-up end."""
+        cluster.append(cluster.fresh_docs(2, 0))
+        log = cluster.primary.replication
+        read = log.read
+
+        def damaged_after_the_first_read(generation, offset, **kwargs):
+            if offset:
+                raise WalFormatError("damaged committed prefix")
+            return read(generation, offset, **kwargs)
+
+        monkeypatch.setattr(log, "read", damaged_after_the_first_read)
+        path = "/wal/stream?generation=0&offset=0&wait_s=0"
+        with socket.create_connection(("127.0.0.1", cluster.primary_port), timeout=10) as sock:
+            sock.sendall(f"GET {path} HTTP/1.1\r\nHost: primary\r\n\r\n".encode())
+            reply = b""
+            while True:
+                data = sock.recv(65536)
+                if not data:
+                    break
+                reply += data
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert body and b"HTTP/1." not in body
+        assert not body.endswith(b"0\r\n\r\n")
+        with pytest.raises(ServeClientError) as excinfo:
+            with Connection(cluster.primary_url, 5.0).stream(path) as (_headers, chunks):
+                for _chunk in chunks:
+                    pass
+        assert excinfo.value.status is None
 
     def test_ack_endpoint_registers_the_peer(self, cluster):
         client = ServeClient(cluster.primary_url)
@@ -617,6 +705,42 @@ class TestFailoverClient:
             assert client.failovers >= 1
 
 
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"ok\": true",
+            b"HTTP/1.1 banana\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nnot json!",
+        ],
+        ids=["truncated-body", "garbled-status-line", "not-json"],
+    )
+    def test_a_garbled_reply_is_a_transport_failure(self, cluster, reply):
+        with canned_server(reply) as garbling_url:
+            with pytest.raises(ServeClientError) as excinfo:
+                ServeClient(garbling_url, timeout=2.0).healthz()
+            assert excinfo.value.status is None
+
+            def garbling_first():
+                return FailoverClient(
+                    [garbling_url, cluster.primary_url],
+                    timeout=2.0,
+                    backoff_s=0.01,
+                    backoff_cap_s=0.02,
+                )
+
+            client = garbling_first()
+            assert client.healthz()["role"] == "primary"
+            assert client.failovers == 1
+            # The garbling node may have applied the append before it died:
+            # its fate is unknown, so the survivor's dedup rejection is the
+            # acknowledgement the caller never received.
+            cluster.append([make_doc("garbled-ack", [3])])
+            client = garbling_first()
+            response = client.append([{"name": "garbled-ack", "terms": [3]}])
+            assert response == {"appended": 0, "already_indexed": True}
+            assert client.unknown_fate_retries == 1
+
+
 class TestFaultInjection:
     def test_stream_survives_connection_resets(self, cluster):
         cluster.start_standby(via_proxy=True)
@@ -659,6 +783,41 @@ class TestFaultInjection:
         assert replay is not None and replay.records >= applied_before
         cluster.wait_caught_up()
         cluster.assert_node_identical(cluster.standby_service)
+
+
+class TestStopLiveness:
+    """A standby's ``promote()`` and ``close()`` return at once at the CLI's
+    defaults, where an idle primary holds the stream's long poll open for
+    ``poll_wait_s`` = 20 s and a stalled one is given up only after
+    ``poll_wait_s + read_timeout_s`` = 35 s."""
+
+    @pytest.fixture(params=["live-idle-primary", "stalled-stream"])
+    def replica(self, request, cluster):
+        defaults = dict(poll_wait_s=20.0, read_timeout_s=15.0)
+        if request.param == "live-idle-primary":
+            cluster.start_standby(**defaults)
+            cluster.wait_caught_up()
+        else:
+            # The bootstrap's snapshot download passes; the stream stalls
+            # before its response headers.
+            cluster.proxy = FaultyProxy("127.0.0.1", cluster.primary_port)
+            cluster.proxy.schedule(Fault.passthrough(), Fault.stall(60.0))
+            cluster.start_standby(via_proxy=True, **defaults)
+            assert wait_until(lambda: cluster.proxy.connections >= 2)
+        time.sleep(0.2)  # the tailer is now blocked in its read
+        return cluster.replica
+
+    def test_promote_returns_at_once(self, replica):
+        started = time.monotonic()
+        assert replica.promote().role == "primary"
+        assert time.monotonic() - started < 0.5
+        assert not replica._thread.is_alive()  # noqa: SLF001 - the tailer stopped
+
+    def test_close_returns_at_once(self, replica):
+        started = time.monotonic()
+        replica.close()
+        assert time.monotonic() - started < 0.5
+        assert not replica._thread.is_alive()  # noqa: SLF001 - the tailer stopped
 
 
 class _Crash(Exception):
@@ -903,4 +1062,10 @@ ReplicationMachine.TestCase.settings = tier("stateful")
 
 
 class TestReplicationStateful(ReplicationMachine.TestCase):
-    """Run the replication machine under the ``stateful`` tier."""
+    """Run the replication machine under the ``stateful`` tier, in < 15 s:
+    every standby stop and promotion inside it must be prompt."""
+
+    def runTest(self):
+        started = time.monotonic()
+        super().runTest()
+        assert time.monotonic() - started < 15.0

@@ -562,6 +562,19 @@ class TestHTTPServer:
         server.shutdown()
         service.close()
 
+    def test_shutdown_does_not_wait_out_the_poll_interval(self):
+        """``serve_forever`` polls every 0.5 s; shutdown wakes it instead."""
+        with QueryService(_build_index(), tick_seconds=0.0) as service:
+            for _ in range(5):
+                started = time.monotonic()
+                server, thread = start_http_server(service)
+                server.shutdown()
+                elapsed = time.monotonic() - started
+                server.server_close()
+                thread.join(timeout=5.0)
+                assert not thread.is_alive()
+                assert elapsed < 0.05
+
     def test_query_integer_terms_match_local_engine(self, running_server):
         client, index, _, _ = running_server
         codes = [int(c) for c in range(50, 60)]
