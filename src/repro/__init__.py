@@ -25,7 +25,7 @@ from repro.core.executor import get_num_threads, num_threads, set_num_threads
 from repro.core.rambo import Rambo, RamboConfig
 from repro.core.distributed import DistributedRambo, stack_shards
 from repro.core.folding import fold_rambo, fold_to_target
-from repro.core.parallel import ParallelBuilder, merge_indexes
+from repro.core.parallel import merge_indexes
 from repro.core.serialization import load_index, open_index, save_index
 from repro.bloom import BloomFilter, CountingBloomFilter, ScalableBloomFilter
 from repro.sketch import CountMinSketch
@@ -54,7 +54,6 @@ __all__ = [
     "stack_shards",
     "fold_rambo",
     "fold_to_target",
-    "ParallelBuilder",
     "merge_indexes",
     "load_index",
     "open_index",

@@ -124,6 +124,36 @@ def probe_words_batch(words, positions: np.ndarray) -> np.ndarray:
     return hits.view(bool).T                                   # (n, rows)
 
 
+def set_rows(rows: Sequence[np.ndarray], positions: np.ndarray, size: int) -> None:
+    """Set the bits at *positions* in every one of several bit-array payloads.
+
+    The write-side twin of :func:`probe_words_batch`: *rows* are writable
+    1-D ``uint64`` word arrays of *size*-bit arrays (e.g. the ``R`` BFUs a
+    RAMBO document is assigned to, which share size, hash count and seed,
+    so one term has the same positions in all of them), and *positions* an
+    integer array of any shape.  The positions are sorted and OR-reduced
+    once into ``(word, mask)`` pairs with distinct words, and each row then
+    takes one fancy ``|=``: validation and the word/mask derivation are
+    paid once per call, not once per row as with one
+    :meth:`BitArray.set_many` per row.  Duplicates are harmless (OR is
+    idempotent); a position outside ``[0, size)`` raises ``IndexError``
+    before any row changes.
+    """
+    flat = np.sort(np.asarray(positions).ravel())
+    if flat.size == 0:
+        return
+    if flat[0] < 0 or flat[-1] >= size:
+        offender = flat[0] if flat[0] < 0 else flat[-1]
+        raise IndexError(f"bit index {int(offender)} out of range for size {size}")
+    words = flat // _WORD_BITS
+    starts = np.concatenate(([0], np.flatnonzero(words[1:] != words[:-1]) + 1))
+    masks = np.uint64(1) << (flat % _WORD_BITS).astype(np.uint64)
+    masks = np.bitwise_or.reduceat(masks, starts)
+    words = words[starts]
+    for row in rows:
+        row[words] |= masks
+
+
 class BitArray:
     """Fixed-size mutable bit array with vectorised bitwise algebra.
 

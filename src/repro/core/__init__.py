@@ -30,7 +30,7 @@ from repro.core.executor import (
 from repro.core.rambo import Rambo, RamboConfig
 from repro.core.folding import fold_rambo, fold_to_target
 from repro.core.distributed import DistributedRambo, stack_shards
-from repro.core.parallel import ParallelBuilder, merge_indexes
+from repro.core.parallel import merge_indexes
 from repro.core.serialization import (
     describe_index,
     load_index,
@@ -58,7 +58,6 @@ __all__ = [
     "fold_to_target",
     "DistributedRambo",
     "stack_shards",
-    "ParallelBuilder",
     "merge_indexes",
     "describe_index",
     "load_index",

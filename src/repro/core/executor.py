@@ -220,9 +220,8 @@ def parallel_map(
     out across shards whose per-shard engines are themselves
     executor-aware) safe by construction instead of a deadlock.
 
-    ``threads`` overrides :func:`get_num_threads` for this one call; it is
-    how :class:`repro.core.parallel.ParallelBuilder` honours its explicit
-    ``workers`` argument regardless of the global setting.
+    ``threads`` overrides :func:`get_num_threads` for this one call,
+    regardless of the global setting.
     """
     items = list(items)
     count = get_num_threads() if threads is None else _validate_threads(threads, "threads")

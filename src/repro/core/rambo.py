@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.bloom.bitarray import BitArray, popcount_words, probe_words_batch
+from repro.bloom.bitarray import BitArray, popcount_words, probe_words_batch, set_rows
 from repro.bloom.bloom_filter import BloomFilter, _normalise_key, optimal_num_bits
 from repro.core.base import (
     MembershipIndex,
@@ -59,6 +59,11 @@ MIN_DOCS_PER_SHARD = 4
 #: that would expand to more is halved into term ranges first, so a
 #: saturated index costs time, never ``n_terms x K x 16`` bytes.
 QUERY_PAIR_BUDGET = 1 << 22
+
+#: Most terms one insert hash pass digests at once.  Its ``(terms, eta)``
+#: position matrix is the write path's largest temporary, so a batch of
+#: genome-sized documents costs passes, never memory in proportion to it.
+TERMS_PER_HASH_PASS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -401,13 +406,18 @@ class Rambo(MembershipIndex):
         """Insert a batch of documents through the vectorised write pipeline.
 
         Because every BFU shares its size, hash count and seed, a term's
-        probe positions are identical in all ``R`` repetitions; each
-        document's term array is therefore hashed **once**
-        (:func:`double_hashes_batch`, zero per-key Python work for integer
-        k-mer codes) and the flattened position matrix is scattered into the
-        ``R`` assigned BFUs with one word-OR bulk set each — the write-path
-        twin of the batched query engine.  Cache invalidation is amortised
-        across the whole batch instead of per document.
+        probe positions are identical in all ``R`` repetitions, so each term
+        is hashed and each document's positions are reduced **once**:
+
+        1. consecutive code-array documents are hashed together, up to
+           :data:`TERMS_PER_HASH_PASS` terms per :func:`double_hashes_batch`
+           pass (zero per-key Python work for integer k-mer codes);
+        2. each document's positions are sorted and OR-reduced into
+           ``(word, mask)`` pairs once and ORed into its ``R`` BFU rows with
+           one fancy ``|=`` per row (:func:`repro.bloom.bitarray.set_rows`,
+           the write-side twin of the batched query engine's gather).
+
+        Cache invalidation is amortised across the whole batch.
 
         With ``parallel=True`` and more than one executor thread the batch
         is sharded into contiguous document chunks, each chunk builds a
@@ -421,34 +431,35 @@ class Rambo(MembershipIndex):
         dirty every page of the file).
 
         Bit-identical to inserting the documents one at a time through the
-        scalar reference path (:meth:`add_document_scalar`): OR-scatter order
-        does not matter.  Duplicate names (within the batch or against the
-        index) and invalid term keys are rejected before any state is
-        mutated.
+        scalar reference path (:meth:`add_document_scalar`) however the
+        documents are batched: OR-scatter order does not matter.  Duplicate
+        names (within the batch or against the index) and invalid term keys
+        are rejected before any state is mutated.
         """
         docs = list(documents)
         if not docs:
             return
         self._require_writable()
         batch_names = set()
-        prepared = []
+        keys = []
         for doc in docs:
             if doc.name in self or doc.name in batch_names:
                 raise ValueError(f"document {doc.name!r} already indexed")
             batch_names.add(doc.name)
-            prepared.append((doc, doc.validated_hash_keys() if len(doc) else None))
+            keys.append(doc.validated_hash_keys())
         if parallel and not self.is_mapped and not in_worker():
             ranges = shard_ranges(len(docs), get_num_threads(), MIN_DOCS_PER_SHARD)
             if len(ranges) > 1:
                 self._add_documents_sharded(docs, ranges)
                 return
-        for doc, keys in prepared:
+        rows = []
+        for doc in docs:
             cells = self._register(doc.name)
-            if keys is not None:
-                flat_positions = self._probe_matrix(keys).ravel()
-                for r, b in cells:
-                    self._bits(r, b).set_many(flat_positions)
-                    self._items[r, b] += len(doc)
+            rows.append([self._planes[r][b] for r, b in cells])
+            for r, b in cells:
+                self._items[r, b] += len(doc)
+        for slot, positions in self._hash_passes(keys):
+            set_rows(rows[slot], positions, self.config.bfu_bits)
         self._invalidate_caches()
 
     def _register(self, name: str) -> List[tuple]:
@@ -461,6 +472,41 @@ class Rambo(MembershipIndex):
             row.append(b)
             cells.append((r, b))
         return cells
+
+    def _hash_passes(self, keys: List) -> Iterator[Tuple[int, np.ndarray]]:
+        """``(slot, positions)`` pieces that together cover each ``keys[slot]``.
+
+        Consecutive code-array documents share one :meth:`_probe_matrix`
+        pass of at most :data:`TERMS_PER_HASH_PASS` terms, and a longer
+        document is split across passes; string-term documents (``list``
+        keys) are hashed on their own, in pieces of the same bound.
+        """
+        pending: List[Tuple[int, np.ndarray]] = []
+        pending_terms = 0
+        for slot, doc_keys in enumerate(keys):
+            for start in range(0, len(doc_keys), TERMS_PER_HASH_PASS):
+                piece = doc_keys[start : start + TERMS_PER_HASH_PASS]
+                if not isinstance(piece, np.ndarray):
+                    yield slot, self._probe_matrix(piece)
+                    continue
+                if pending_terms + len(piece) > TERMS_PER_HASH_PASS:
+                    yield from self._hash_pending(pending)
+                    pending, pending_terms = [], 0
+                pending.append((slot, piece))
+                pending_terms += len(piece)
+        yield from self._hash_pending(pending)
+
+    def _hash_pending(
+        self, pending: List[Tuple[int, np.ndarray]]
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """One hash pass over *pending*'s concatenated code pieces, split back per slot."""
+        if not pending:
+            return
+        positions = self._probe_matrix(np.concatenate([piece for _, piece in pending]))
+        offset = 0
+        for slot, piece in pending:
+            yield slot, positions[offset : offset + len(piece)]
+            offset += len(piece)
 
     def _bits(self, repetition: int, partition: int) -> BitArray:
         """Row ``partition`` of a plane as a :class:`BitArray` over the same words."""

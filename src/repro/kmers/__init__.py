@@ -6,7 +6,7 @@ of word unigrams of one text file.  :class:`KmerDocument` is the common
 container both pipelines produce and every index class consumes.
 """
 
-from repro.kmers.encoding import (
+from repro.hashing.kmer_hash import (
     kmer_to_int,
     int_to_kmer,
     canonical_int,

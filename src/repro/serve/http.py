@@ -39,9 +39,11 @@ import hashlib
 import json
 import math
 import os
+import select
 import socket
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 from urllib.parse import parse_qs
@@ -189,6 +191,11 @@ def _resolve_node(service: QueryService, needs: Optional[str]):
             "(or POST /promote here first)",
         )
     return engine, None
+
+
+#: Longest a ``/wal/stream`` long poll waits before it checks that its
+#: client is still connected.
+WAIT_SLICE_S = 0.25
 
 
 class ServeRequestHandler(BaseHTTPRequestHandler):
@@ -464,7 +471,10 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
 
         The stream long-polls: after draining everything committed it waits
         up to ``wait_s`` for more, and ends cleanly once a wait comes up
-        empty — the standby just reconnects with its advanced cursor.
+        empty — the standby just reconnects with its advanced cursor.  A
+        client that hangs up during the wait ends it at the next slice
+        (:meth:`_wait_for_records`), with nothing written: the handler
+        thread is held only while its reader exists.
         """
         generation = query.integer("generation", 0, 0)
         offset = query.integer("offset", 0, 0)
@@ -492,7 +502,9 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
                     self.wfile.write(b"%x\r\n" % len(data) + data + b"\r\n")
                     self.wfile.flush()
                     cursor += n_records
-                elif not log.wait_for_records(generation, cursor, wait_s):
+                elif not self._wait_for_records(log, generation, cursor, wait_s):
+                    if self._client_gone():
+                        return
                     break  # idle: end the stream, the standby reconnects
                 try:
                     data, n_records, _ = log.read(generation, cursor, max_bytes=max_bytes)
@@ -504,6 +516,31 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             # A JSON error now would land inside the chunked body: end without
             # the terminating chunk — a torn body, never a clean caught-up end.
             self.log_error("wal stream failed at record %d: %r", cursor, exc)
+
+    def _wait_for_records(self, log, generation: int, cursor: int, wait_s: float) -> bool:
+        """``log.wait_for_records`` in slices of at most :data:`WAIT_SLICE_S`;
+        ``False`` on timeout or as soon as the client is gone."""
+        deadline = time.monotonic() + wait_s
+        while True:
+            remaining = deadline - time.monotonic()
+            if log.wait_for_records(generation, cursor, min(max(remaining, 0.0), WAIT_SLICE_S)):
+                return True
+            if not remaining > WAIT_SLICE_S or self._client_gone():
+                return False
+
+    def _client_gone(self) -> bool:
+        """Whether the client has closed or reset its end of the connection.
+
+        A stream's client sends nothing after its request, so a readable
+        socket means an end-of-file (an empty peek) or a reset.
+        """
+        readable, _, _ = select.select([self.connection], [], [], 0)
+        if not readable:
+            return False
+        try:
+            return not self.connection.recv(1, socket.MSG_PEEK)
+        except OSError:
+            return True
 
     def _handle_wal_snapshot(self, engine, _query: Fields) -> None:
         """Stream the serving base artifact (for standby bootstrap/re-sync).

@@ -5,17 +5,24 @@ post-build incremental inserts."""
 
 from __future__ import annotations
 
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.cobs import CobsIndex
-from repro.bloom.bitarray import BitArray
+from repro.bloom.bitarray import BitArray, set_rows
 from repro.bloom.bloom_filter import BloomFilter
 from repro.core.distributed import DistributedRambo
 from repro.core.folding import fold_rambo
-from repro.core.parallel import ParallelBuilder, merge_indexes
+from repro.core import rambo as rambo_module
+from repro.core.executor import num_threads
+from repro.core.parallel import merge_indexes
 from repro.core.rambo import Rambo, RamboConfig
 from repro.core.serialization import load_index, save_index
 from repro.hashing.murmur3 import double_hashes, double_hashes_batch
@@ -96,6 +103,49 @@ class TestBitArraySetManyArray:
 
 
 # -- double_hashes_batch ndarray fast path -----------------------------------------
+
+
+class TestSetRows:
+    """The multi-row scatter equals one ``BitArray.set_many`` per row."""
+
+    @given(
+        st.sampled_from([1, 63, 64, 65, 130, 1000]).flatmap(
+            lambda size: st.tuples(
+                st.just(size),
+                st.lists(st.integers(min_value=0, max_value=size - 1), max_size=40),
+            )
+        ),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_set_many_per_row(self, case, num_rows):
+        size, positions = case
+        words = (size + 63) // 64
+        rows = np.zeros((num_rows, words), dtype=np.uint64)
+        rows[:, 0] = np.uint64(0b1010)  # bits already set stay set
+        expected = [BitArray(size, row.copy()) for row in rows]
+        for bits in expected:
+            bits.set_many(positions)
+        set_rows(list(rows), np.asarray(positions, dtype=np.int64), size)
+        for row, bits in zip(rows, expected):
+            assert np.array_equal(row, bits.words)
+
+    def test_positions_colliding_in_one_word_all_land(self):
+        row = np.zeros(2, dtype=np.uint64)
+        set_rows([row], np.asarray([[0, 63], [5, 0], [63, 64]]), 65)
+        assert row.tolist() == [(1 << 63) | (1 << 5) | 1, 1]
+
+    @pytest.mark.parametrize("bad", [-1, 65, 128])
+    def test_out_of_range_rejected_before_any_row_changes(self, bad):
+        rows = [np.zeros(2, dtype=np.uint64) for _ in range(2)]
+        with pytest.raises(IndexError):
+            set_rows(rows, np.asarray([1, bad, 3]), 65)
+        assert not any(row.any() for row in rows)
+
+    def test_empty_positions_are_a_no_op(self):
+        row = np.zeros(1, dtype=np.uint64)
+        set_rows([row], np.zeros((0, 2), dtype=np.int64), 64)
+        assert not row.any()
 
 
 class TestBatchHashArrayPath:
@@ -215,7 +265,9 @@ class TestRamboBulkEquivalence:
             scalar.add_document_scalar(doc)
         bulk = Rambo(cfg)
         bulk.add_documents(documents)
-        chunked = ParallelBuilder(config=cfg, chunk_size=3).build(documents)
+        chunked = Rambo(cfg)
+        for start in range(0, len(documents), 3):
+            chunked.add_documents(documents[start : start + 3])
         assert_bit_identical(scalar, bulk)
         assert_bit_identical(scalar, chunked)
 
@@ -296,6 +348,104 @@ class TestRamboBulkEquivalence:
                     expected.union_inplace(part.bfu(r, b))
                 assert merged.bfu(r, b) == expected
                 assert merged.bfu(r, b).num_items == expected.num_items
+
+
+# -- the insert kernel -------------------------------------------------------------
+
+
+def _term_set(draw_codes: bool):
+    """A document's terms: a code array, or a frozenset of ints and strings."""
+    ints = st.integers(min_value=0, max_value=(1 << 64) - 1)
+    if draw_codes:
+        return st.lists(ints, max_size=12).map(lambda codes: np.asarray(codes, dtype=np.uint64))
+    return st.frozensets(st.one_of(ints, st.text(min_size=1, max_size=4)), max_size=12)
+
+
+insert_case = st.fixed_dictionaries(
+    {
+        # 1, 63, 64 and 65 bits put many positions in one word and probe
+        # bits 63/64; only 64 and 4096 are multiples of the word size.
+        "bfu_bits": st.sampled_from([1, 63, 64, 65, 200, 4096]),
+        "terms": st.lists(st.booleans().flatmap(_term_set), min_size=1, max_size=8),
+        "splits": st.lists(st.integers(min_value=0, max_value=8), max_size=4),
+        "terms_per_pass": st.sampled_from([1, 2, 5, 1 << 16]),
+        "mapped": st.booleans(),
+    }
+)
+
+
+def assert_same_storage(a: Rambo, b: Rambo) -> None:
+    """Planes, insert counts, names and assignments agree exactly."""
+    assert all(np.array_equal(x, y) for x, y in zip(a.planes, b.planes))
+    assert np.array_equal(a.insert_counts, b.insert_counts)
+    assert a.names == b.names
+    assert a.assignments == b.assignments
+
+
+class TestInsertKernel:
+    """``add_documents`` (batched hash passes, one OR-reduce per document
+    shared by its ``R`` rows) against the scalar reference."""
+
+    @given(insert_case)
+    @settings(max_examples=60, deadline=None)
+    def test_any_batch_split_matches_scalar(self, case):
+        cfg = config(bfu_bits=case["bfu_bits"], bfu_hashes=3)
+        seed_doc = KmerDocument(name="seed", terms=frozenset({7, "x"}))
+        documents = [
+            KmerDocument(name=f"doc{i}", terms=terms) for i, terms in enumerate(case["terms"])
+        ]
+        scalar = Rambo(cfg)
+        for doc in [seed_doc, *documents]:
+            scalar.add_document_scalar(doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            bulk = Rambo(cfg)
+            bulk.add_documents([seed_doc])
+            if case["mapped"]:
+                bulk.save_mmap(Path(tmp) / "seed.rambo2")
+                bulk = Rambo.open_mmap(Path(tmp) / "seed.rambo2", mode="c")
+                # The containers do not persist insert counts: put the seed's back.
+                for r, row in enumerate(bulk.assignments):
+                    bulk.insert_counts[r, row[0]] += len(seed_doc)
+            # Repeated cuts make empty batches, which must change nothing.
+            cuts = sorted([0, len(documents), *(c for c in case["splits"] if c <= len(documents))])
+            with patch.object(rambo_module, "TERMS_PER_HASH_PASS", case["terms_per_pass"]):
+                for start, stop in zip(cuts, cuts[1:]):
+                    bulk.add_documents(documents[start:stop])
+            assert bulk.is_mapped == case["mapped"]
+            assert_same_storage(bulk, scalar)
+
+    def test_a_small_document_allocates_in_proportion_to_its_terms(self):
+        # 3 x 2 BFUs of 2 MiB each: anything sized by the BFU (a bool
+        # scratch, a packed copy) would allocate megabytes.
+        index = Rambo(config(num_partitions=2, bfu_bits=1 << 24))
+        index.add_documents([KmerDocument(name="warm", terms=np.asarray([1], dtype=np.uint64))])
+        doc = KmerDocument(name="small", terms=np.asarray([3, 1 << 40, 99], dtype=np.uint64))
+        tracemalloc.start()
+        try:
+            index.add_documents([doc])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_a_long_document_hashes_in_bounded_passes(self):
+        terms_per_pass = 1 << 10
+        cfg = config(bfu_hashes=4)
+        doc = KmerDocument(name="genome", terms=np.arange(1 << 16, dtype=np.uint64))
+        index = Rambo(cfg)
+        with patch.object(rambo_module, "TERMS_PER_HASH_PASS", terms_per_pass):
+            tracemalloc.start()
+            try:
+                index.add_documents([doc])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # One pass's (terms, eta) int64 matrix is 32 KiB; the whole
+        # document's would be 2 MiB.
+        assert peak < 16 * terms_per_pass * cfg.bfu_hashes * 8
+        reference = Rambo(cfg)
+        reference.add_documents([doc])
+        assert_same_storage(index, reference)
 
 
 # -- cache invalidation across incremental inserts ---------------------------------
@@ -448,7 +598,9 @@ class TestMcCortexArrayFlow:
         ]
         for doc in documents:
             doc.validated_hash_keys()  # populate every cache state
-        built = ParallelBuilder(config=config(), workers=2, chunk_size=2).build(documents)
+        built = Rambo(config())
+        with num_threads(2), patch.object(rambo_module, "MIN_DOCS_PER_SHARD", 2):
+            built.add_documents(documents, parallel=True)
         sequential = Rambo(config())
         sequential.add_documents(documents)
         assert_bit_identical(sequential, built)

@@ -1,11 +1,11 @@
-"""Tests for partial-index merging and chunked/parallel construction."""
+"""Tests for partial-index merging."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.parallel import ParallelBuilder, merge_indexes
+from repro.core.parallel import merge_indexes
 from repro.core.rambo import Rambo, RamboConfig
 from repro.kmers.extraction import KmerDocument
 
@@ -102,40 +102,3 @@ class TestMergeIndexes:
         )
         merged.add_document(KmerDocument(name="late", terms=frozenset({"late-term"})))
         assert "late" in merged.query_term("late-term").documents
-
-
-class TestParallelBuilder:
-    def test_chunked_build_matches_sequential(self, small_dataset):
-        cfg = config(k=small_dataset.k)
-        builder = ParallelBuilder(config=cfg, workers=1, chunk_size=7)
-        chunked = builder.build(small_dataset.documents)
-        reference = sequential_build(small_dataset.documents, cfg)
-        for doc in small_dataset.documents:
-            term = next(iter(doc.terms))
-            assert chunked.query_term(term).documents == reference.query_term(term).documents
-
-    def test_result_independent_of_chunk_size(self, small_dataset):
-        cfg = config(k=small_dataset.k)
-        a = ParallelBuilder(config=cfg, chunk_size=3).build(small_dataset.documents)
-        b = ParallelBuilder(config=cfg, chunk_size=11).build(small_dataset.documents)
-        for r in range(cfg.repetitions):
-            for p in range(cfg.num_partitions):
-                assert a.bfu(r, p).bits == b.bfu(r, p).bits
-
-    def test_empty_collection(self):
-        builder = ParallelBuilder(config=config())
-        index = builder.build([])
-        assert index.num_documents == 0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            ParallelBuilder(config=config(), workers=0)
-        with pytest.raises(ValueError):
-            ParallelBuilder(config=config(), chunk_size=0)
-
-    def test_no_false_negatives_after_chunked_build(self, small_dataset):
-        cfg = config(k=small_dataset.k)
-        index = ParallelBuilder(config=cfg, chunk_size=5).build(small_dataset.documents)
-        for doc in small_dataset.documents[:10]:
-            for term in list(doc.terms)[:5]:
-                assert doc.name in index.query_term(term).documents

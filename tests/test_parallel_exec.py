@@ -32,7 +32,6 @@ from repro.core.executor import (
     shard_ranges,
     shutdown_pool,
 )
-from repro.core.parallel import ParallelBuilder
 from repro.core.rambo import Rambo, RamboConfig
 from repro.core.serialization import open_index, save_index
 
@@ -338,16 +337,19 @@ class TestParallelBuildIdentity:
         save_index(observed, obs_path)
         assert obs_path.read_bytes() == ref_path.read_bytes()
 
-    def test_parallel_builder_identical_across_workers(self, small_dataset):
-        cfg = rambo_config()
-        reference = ParallelBuilder(cfg, workers=1, chunk_size=7).build(
-            small_dataset.documents
-        )
-        for workers in THREAD_COUNTS[1:]:
-            observed = ParallelBuilder(cfg, workers=workers, chunk_size=7).build(
-                small_dataset.documents
-            )
-            assert_indexes_identical(observed, reference)
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("batch", [3, 8, 13])
+    def test_add_documents_identical_across_threads_and_batches(
+        self, small_dataset, threads, batch
+    ):
+        docs = small_dataset.documents
+        reference = Rambo(rambo_config())
+        reference.add_documents(docs)
+        observed = Rambo(rambo_config())
+        with num_threads(threads):
+            for start in range(0, len(docs), batch):
+                observed.add_documents(docs[start : start + batch], parallel=True)
+        assert_indexes_identical(observed, reference)
 
     def test_distributed_parallel_add_identical(self, small_dataset):
         reference = DistributedRambo(num_nodes=3, node_config=rambo_config(seed=21))

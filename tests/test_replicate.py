@@ -376,6 +376,33 @@ class TestWalHttpEndpoints:
             body = response.read()
         assert body == cluster.base_path.read_bytes()
 
+    def test_aborted_long_polls_free_their_handler_threads(self, cluster):
+        """A client that hangs up mid-wait releases its server thread within
+        a wait slice, not after ``wait_s``."""
+
+        def handlers():
+            return {t for t in threading.enumerate() if "process_request_thread" in t.name}
+
+        before = handlers()
+        path = "/wal/stream?generation=0&offset=0&wait_s=20"
+        socks = []
+        try:
+            for _ in range(5):
+                sock = socket.create_connection(("127.0.0.1", cluster.primary_port), timeout=10)
+                socks.append(sock)
+                sock.sendall(f"GET {path} HTTP/1.1\r\nHost: primary\r\n\r\n".encode())
+                # The headers are flushed before the wait: the handler is parked.
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+            streams = handlers() - before
+            assert len(streams) == 5
+        finally:
+            for sock in socks:
+                sock.close()
+        deadline = time.monotonic() + 1.0
+        while any(t.is_alive() for t in streams) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(t.is_alive() for t in streams)
+
     def test_a_stream_failing_after_its_headers_ends_without_a_terminator(
         self, cluster, monkeypatch
     ):
