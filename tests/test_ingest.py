@@ -21,8 +21,10 @@ generality:
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
+import os
 import shutil
 import struct
 import tempfile
@@ -47,6 +49,7 @@ from repro.ingest import DeltaOverlayIndex, IngestEngine
 from repro.ingest import engine as engine_module
 from repro.io.walformat import (
     CHECKSUM_MISMATCH,
+    SegmentedWalWriter,
     WalFormatError,
     WalWriter,
     decode_document,
@@ -54,6 +57,8 @@ from repro.io.walformat import (
     iter_frames,
     read_wal_header,
     replay_wal,
+    replay_wal_generation,
+    truncate_torn_generation,
     truncate_torn_tail,
     validate_document,
 )
@@ -335,6 +340,64 @@ class TestWalFormat:
         assert [d.name for d in replay.documents] == ["ok"]
         assert replay.torn_reason == "payload checksum mismatch"
         assert replay.valid_bytes == intact
+
+
+class TestPinnedWalBytes:
+    """The WAL's bytes and fsyncs, pinned: the digests and the count are
+    what the writer wrote for this scripted sequence before the
+    single-file layer was folded into :class:`SegmentedWalWriter`."""
+
+    PINNED = {
+        "wal-000004.log": "c4abd1f2d886cbd87b09696e0b4fd9e1ed2b0602b2386cfaf001b180d07f3206",
+        "wal-000004-0001.seg": "6a233ca519dc08ca69e4c2fb5bf1b217ff100ac5fd6f4a96b55ef45c9d9b9a45",
+        "wal-000004-0002.seg": "27561464335963fcab70b1fdb9d42022056564198b6daeed80031dc7c4751e73",
+    }
+    #: Three segment headers and their directory entries (6), three batch
+    #: commits (3), two seals on a roll (2), one group commit (1), and the
+    #: one batch appended after the reopen (1).
+    PINNED_FSYNCS = 13
+
+    def test_segment_files_and_fsyncs_are_pinned(self, tmp_path, monkeypatch):
+        real_fsync = os.fsync
+        fsyncs = []
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        codes = [make_doc(f"c{i}", range(i, i + 6)) for i in range(3)]
+        words = KmerDocument("words", frozenset({"alpha", "beta", "gamma"}))
+        mixed = KmerDocument("mixed", frozenset({7, "x", 3, "y"}))
+        with SegmentedWalWriter(tmp_path, CONFIG, 4, segment_bytes=256) as writer:
+            writer.append(codes)
+            writer.append([words])  # the segment is past 256 bytes: rolls first
+            writer.append([mixed])
+            writer.append([make_doc("g0", [1, 2])], sync=False)  # rolls again
+            writer.append([make_doc("g1", [3])], sync=False)
+            assert writer.committed_records == 5 and writer.total_records == 7
+            assert writer.sync() == 7
+            counters = (writer.records_appended, writer.sync_count, writer.segment_count)
+        replay = replay_wal_generation(tmp_path, 4, CONFIG)
+        assert [d.name for d in replay.documents] == ["c0", "c1", "c2", "words", "mixed", "g0", "g1"]
+        assert truncate_torn_generation(replay) == 0
+        with SegmentedWalWriter(
+            tmp_path, CONFIG, 4, segment_bytes=256, segments=replay.segments
+        ) as writer:
+            writer.append([make_doc("after", [9, 10, 11])])
+            reopened = (writer.records_appended, writer.committed_records, writer.size_bytes)
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.iterdir())
+        }
+        assert digests == self.PINNED
+        assert counters == (7, 9, 3)
+        assert reopened == (1, 8, 950)
+        assert [
+            (info.segment, info.start_record, info.records, info.committed_bytes, info.data_offset)
+            for info in replay.segments
+        ] == [(0, 0, 3, 387, 192), (1, 3, 2, 269, 192), (2, 5, 2, 250, 192)]
+        assert len(fsyncs) == self.PINNED_FSYNCS
 
 
 class TestDeltaOverlayIdentity:
