@@ -27,7 +27,7 @@ from repro.core.distributed import DistributedRambo, stack_shards
 from repro.core.folding import fold_rambo, fold_to_target
 from repro.core.parallel import merge_indexes
 from repro.core.serialization import load_index, open_index, save_index
-from repro.bloom import BloomFilter, CountingBloomFilter, ScalableBloomFilter
+from repro.bloom import BloomFilter, ScalableBloomFilter
 from repro.sketch import CountMinSketch
 from repro.kmers import (
     KmerDocument,
@@ -63,7 +63,6 @@ __all__ = [
     "set_num_threads",
     "BloomFilter",
     "ScalableBloomFilter",
-    "CountingBloomFilter",
     "CountMinSketch",
     "KmerDocument",
     "document_from_sequences",

@@ -6,20 +6,16 @@ operation — is built on the same dense bit-array substrate implemented in
 :mod:`repro.bloom.bitarray` (numpy ``uint64`` words, vectorised bitwise
 algebra).
 
-Three membership structures are provided:
+Two membership structures are provided:
 
 * :class:`BloomFilter` — the classic structure used as the BFU.
 * :class:`ScalableBloomFilter` — the adaptive-size alternative the paper cites
   for streaming inputs whose cardinality is unknown up front.
-* :class:`CountingBloomFilter` — supports deletions; not used by RAMBO itself
-  but included because several follow-up designs (and our ablation benches)
-  need it.
 """
 
 from repro.bloom.bitarray import BitArray, popcount_words, probe_words_batch
 from repro.bloom.bloom_filter import BloomFilter, optimal_num_hashes, optimal_num_bits
 from repro.bloom.scalable import ScalableBloomFilter
-from repro.bloom.counting import CountingBloomFilter
 
 __all__ = [
     "BitArray",
@@ -27,7 +23,6 @@ __all__ = [
     "probe_words_batch",
     "BloomFilter",
     "ScalableBloomFilter",
-    "CountingBloomFilter",
     "optimal_num_hashes",
     "optimal_num_bits",
 ]

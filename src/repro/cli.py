@@ -794,8 +794,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--wal-segment-bytes", type=int, default=None, metavar="N",
         help="with --wal: roll the WAL to a fresh segment once the current "
-             "one reaches N bytes (default REPRO_WAL_SEGMENT_BYTES or 64 MiB; "
-             "0 = one segment per generation)",
+             "one reaches N bytes (default 64 MiB; 0 = one segment per "
+             "generation)",
     )
     serve.add_argument(
         "--group-commit-ms", type=float, default=None, metavar="MS",

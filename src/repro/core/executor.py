@@ -205,11 +205,7 @@ def in_worker() -> bool:
     return bool(getattr(_tls, "active", False))
 
 
-def parallel_map(
-    fn: Callable[[_Item], _Result],
-    items: Sequence[_Item],
-    threads: Optional[int] = None,
-) -> List[_Result]:
+def parallel_map(fn: Callable[[_Item], _Result], items: Sequence[_Item]) -> List[_Result]:
     """``[fn(item) for item in items]``, fanned out over the shared pool.
 
     Results are returned in input order and the first raised exception
@@ -219,12 +215,9 @@ def parallel_map(
     last rule is what makes nested parallelism (a distributed query fanning
     out across shards whose per-shard engines are themselves
     executor-aware) safe by construction instead of a deadlock.
-
-    ``threads`` overrides :func:`get_num_threads` for this one call,
-    regardless of the global setting.
     """
     items = list(items)
-    count = get_num_threads() if threads is None else _validate_threads(threads, "threads")
+    count = get_num_threads()
     if count <= 1 or len(items) <= 1 or in_worker():
         return [fn(item) for item in items]
     pool = _get_pool(count)

@@ -7,8 +7,8 @@ a write-ahead log and answers that stay bit-identical to a from-scratch
 build at every instant.  Five pieces, smallest first:
 
 * :mod:`repro.io.walformat` (lives beside the container format) — the
-  length+CRC framed, fsync-on-commit WAL segment; replay tolerates the
-  torn tail a crash mid-append leaves.
+  length+CRC framed, fsync-on-commit WAL: one segment-rolling writer and
+  one replay, which tolerates the torn tail a crash mid-append leaves.
 * :class:`~repro.ingest.overlay.DeltaOverlayIndex` — an immutable query
   view over (mmap base snapshot, in-memory delta RAMBO).  Probes gather
   ``base_words | delta_words`` inside the batch kernel — one extra array OR

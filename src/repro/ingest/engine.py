@@ -64,8 +64,7 @@ class IngestEngine:
         production appends must fsync before acknowledging.
     segment_bytes:
         Roll the WAL to a fresh segment once the current one reaches this
-        size (``0`` = one segment per generation).  Defaults to
-        ``REPRO_WAL_SEGMENT_BYTES`` (64 MiB).
+        size (``0`` = one segment per generation).  Defaults to 64 MiB.
     group_commit_ms:
         Commit window for group-commit: concurrent appenders arriving
         within the window share one fsync and are acknowledged together

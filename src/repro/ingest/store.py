@@ -43,7 +43,7 @@ PathLike = Union[str, Path]
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_VERSION = 1
 
-#: Default WAL segment roll size (bytes); override with REPRO_WAL_SEGMENT_BYTES.
+#: Default WAL segment roll size (bytes).
 DEFAULT_WAL_SEGMENT_BYTES = 64 * 1024 * 1024
 
 
@@ -100,7 +100,7 @@ class GenerationStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         if segment_bytes is None:
-            segment_bytes = env_number("REPRO_WAL_SEGMENT_BYTES", DEFAULT_WAL_SEGMENT_BYTES)
+            segment_bytes = DEFAULT_WAL_SEGMENT_BYTES
         self.segment_bytes = int(segment_bytes)
         self.lock = threading.RLock()
         self.generation = 0

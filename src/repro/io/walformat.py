@@ -34,25 +34,24 @@ family as :mod:`repro.io.diskformat`'s container::
 The header pins the :class:`~repro.core.rambo.RamboConfig` and the snapshot
 generation the segment extends, so replaying a segment against the wrong
 base index fails loudly instead of silently building a divergent delta.
-Rolled segments (see :class:`SegmentedWalWriter`) additionally pin their
-``segment`` index and ``start_record`` — the global record index of the
-segment's first record within its generation — so a replication catch-up
+It also pins the ``segment`` index and ``start_record`` — the global
+record index of the segment's first record — so a replication catch-up
 read can skip whole segments by header instead of walking every frame.
 
 Segment naming within one generation: the first segment is
 ``wal-GGGGGG.log`` (unchanged from the single-segment era, so pre-rolling
 WAL directories replay without migration) and rolled continuations are
-``wal-GGGGGG-NNNN.seg`` for ``NNNN >= 1``.  :func:`replay_wal_generation`
-walks them in order; only the *last* segment may carry a torn tail (a
-crash can only tear the segment being written), torn damage anywhere
-else is corruption and raises.
+``wal-GGGGGG-NNNN.seg`` for ``NNNN >= 1``.  :class:`SegmentedWalWriter`
+writes them and :func:`replay_wal_generation` walks them in order.
 
-Crash semantics on replay (:func:`replay_wal`):
+Crash semantics on replay:
 
 * a record whose length prefix, checksum or payload framing is damaged —
   the torn tail a crash mid-append leaves behind — ends the replay cleanly
-  at the last intact record; the valid prefix length comes back so the
-  engine can truncate the tail before appending again;
+  at the last intact record, and :func:`truncate_torn_generation` cuts it
+  off before the writer appends again.  Only the *last* segment may be
+  torn (a crash can only tear the one being written): torn damage in any
+  other is corruption and raises;
 * everything *before* the torn tail was fsynced and is replayed exactly;
 * a corrupt header (not a torn tail — the header is written and fsynced
   before any append is acknowledged) raises :class:`WalFormatError`.
@@ -64,9 +63,9 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -93,7 +92,8 @@ class WalFormatError(ValueError):
     """A WAL segment is malformed beyond torn-tail damage (bad magic,
     version mismatch, or a header that disagrees with the engine's config).
 
-    Torn tails are *not* errors — :func:`replay_wal` reports them as data.
+    Torn tails are *not* errors — :func:`replay_wal_generation` reports
+    them as data.
     """
 
 
@@ -125,8 +125,8 @@ def validate_document(document: KmerDocument) -> None:
 
     The engine runs this in its pre-write validation phase so a bad
     document rejects the batch *before* any WAL bytes are buffered —
-    :meth:`WalWriter.append` must never discover an unencodable document
-    halfway through a batch.
+    :meth:`SegmentedWalWriter.append` must never discover an unencodable
+    document halfway through a batch.
     """
     name_bytes = document.name.encode("utf-8")
     if len(name_bytes) > 0xFFFF:
@@ -205,31 +205,28 @@ def fsync_directory(path: Path) -> None:
         os.close(fd)
 
 
-def read_wal_header(path: PathLike) -> Tuple[Dict, int]:
-    """Read and validate a segment header; returns ``(header, records_offset)``.
+def _read_header(handle: BinaryIO, path: Path) -> Tuple[Dict, int]:
+    """``(header, records_offset)`` of the segment open in *handle*, left just past it.
 
     Raises :class:`WalFormatError` on bad magic, version mismatch, or a
     header that is unparsable or runs past the end of the file — checked
     before it is read, so a damaged length field allocates nothing (the
     header is fsynced at segment creation: damage there is corruption).
     """
-    path = Path(path)
-    with open(path, "rb") as handle:
-        magic = handle.read(len(WAL_MAGIC))
-        if magic != WAL_MAGIC:
-            raise WalFormatError(f"{path} is not a WAL segment (bad magic {magic!r})")
-        handle.read(1)  # reserved
-        raw_len = handle.read(8)
-        if len(raw_len) != 8:
-            raise WalFormatError(f"{path} is truncated inside the segment prelude")
-        header_len = int.from_bytes(raw_len, "little")
-        if _PRELUDE + header_len > os.fstat(handle.fileno()).st_size:
-            raise WalFormatError(f"{path} is truncated inside the segment header")
-        raw_header = handle.read(header_len)
-        try:
-            header = json.loads(raw_header.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WalFormatError(f"{path} has a corrupt WAL header") from exc
+    magic = handle.read(len(WAL_MAGIC))
+    if magic != WAL_MAGIC:
+        raise WalFormatError(f"{path} is not a WAL segment (bad magic {magic!r})")
+    handle.read(1)  # reserved
+    raw_len = handle.read(8)
+    if len(raw_len) != 8:
+        raise WalFormatError(f"{path} is truncated inside the segment prelude")
+    header_len = int.from_bytes(raw_len, "little")
+    if _PRELUDE + header_len > os.fstat(handle.fileno()).st_size:
+        raise WalFormatError(f"{path} is truncated inside the segment header")
+    try:
+        header = json.loads(handle.read(header_len).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise WalFormatError(f"{path} has a corrupt WAL header") from exc
     version = header.get("format_version")
     if version != WAL_VERSION:
         raise WalFormatError(
@@ -239,27 +236,6 @@ def read_wal_header(path: PathLike) -> Tuple[Dict, int]:
     if "config" not in header or "generation" not in header:
         raise WalFormatError(f"{path} WAL header is missing config/generation")
     return header, _PRELUDE + header_len
-
-
-@dataclass
-class WalReplay:
-    """The outcome of replaying one segment (see :func:`replay_wal`).
-
-    ``valid_bytes`` is the length of the intact prefix — header plus every
-    record that decoded and checksummed cleanly; ``torn_bytes`` is whatever
-    trailing garbage a crash left after it (0 for a clean segment).
-    """
-
-    header: Dict
-    documents: List[KmerDocument] = field(default_factory=list)
-    records: int = 0
-    valid_bytes: int = 0
-    torn_bytes: int = 0
-    torn_reason: Optional[str] = None
-
-    @property
-    def generation(self) -> int:
-        return int(self.header["generation"])
 
 
 #: :attr:`iter_frames.torn_reason` of a frame whose payload fails its CRC32 —
@@ -304,208 +280,6 @@ class iter_frames:  # noqa: N801 - an iterator used like a function
                     self.end = start + length
                     return start, self.end
         raise StopIteration
-
-
-def replay_wal(path: PathLike, expected_config: Optional[RamboConfig] = None) -> WalReplay:
-    """Decode every intact record of a segment, tolerating a torn tail.
-
-    The replay walks records in order and stops at the first frame that is
-    short, fails its CRC32, or does not decode — everything from there on is
-    the un-acknowledged debris of a crash mid-append and is reported via
-    ``torn_bytes`` / ``torn_reason`` rather than raised.  With
-    *expected_config* the segment header's pinned config must match exactly
-    (:class:`WalFormatError` otherwise): replaying against a differently
-    seeded or shaped base would build a silently divergent delta.
-    """
-    path = Path(path)
-    header, offset = read_wal_header(path)
-    if expected_config is not None:
-        pinned = RamboConfig.from_dict(header["config"])
-        if pinned != expected_config:
-            raise WalFormatError(
-                f"{path} was written for config {pinned}, "
-                f"cannot replay against {expected_config}"
-            )
-    replay = WalReplay(header=header, valid_bytes=offset)
-    data = path.read_bytes()
-    frames = iter_frames(data, offset)
-    for start, end in frames:
-        try:
-            document = decode_document(data[start:end])
-        except WalFormatError as exc:
-            replay.torn_reason = f"undecodable payload: {exc}"
-            break
-        replay.documents.append(document)
-        replay.records += 1
-        replay.valid_bytes = end
-    else:
-        replay.torn_reason = frames.torn_reason
-    replay.torn_bytes = len(data) - replay.valid_bytes
-    return replay
-
-
-def truncate_torn_tail(path: PathLike, replay: WalReplay) -> int:
-    """Cut a replayed segment back to its intact prefix; returns bytes dropped.
-
-    Idempotent and durable (ftruncate + fsync): after this the segment ends
-    exactly at the last acknowledged record, so the writer can append again
-    without interleaving new records with crash debris.
-    """
-    if replay.torn_bytes <= 0:
-        return 0
-    with open(path, "r+b") as handle:
-        handle.truncate(replay.valid_bytes)
-        handle.flush()
-        os.fsync(handle.fileno())
-    return replay.torn_bytes
-
-
-class WalWriter:
-    """Append-only writer over one WAL segment, fsyncing each committed batch.
-
-    Creating a writer for a fresh path writes and fsyncs the segment header
-    (and the directory entry) immediately — the segment is durable before
-    the first append.  Re-opening an existing segment validates its header
-    against *config*/*generation* and appends after the intact prefix; call
-    :func:`replay_wal` + :func:`truncate_torn_tail` first after a crash.
-
-    The durability contract of :meth:`append`: when it returns, every record
-    of the batch is on stable storage (``flush`` + ``os.fsync``).  Only then
-    may the engine acknowledge the write or mutate the in-memory delta.
-    """
-
-    def __init__(
-        self,
-        path: PathLike,
-        config: RamboConfig,
-        generation: int,
-        *,
-        fsync: bool = True,
-        segment: int = 0,
-        start_record: int = 0,
-    ) -> None:
-        self.path = Path(path)
-        self.config = config
-        self.generation = int(generation)
-        self.segment = int(segment)
-        self.start_record = int(start_record)
-        self.fsync = fsync
-        self.records_appended = 0
-        self.sync_count = 0
-        self._pending_records = 0
-        if self.path.exists():
-            header, _ = read_wal_header(self.path)
-            pinned = RamboConfig.from_dict(header["config"])
-            if pinned != config or int(header["generation"]) != self.generation:
-                raise WalFormatError(
-                    f"{self.path} belongs to another index generation "
-                    f"(gen {header['generation']}, config {pinned})"
-                )
-            self.segment = int(header.get("segment", self.segment))
-            self.start_record = int(header.get("start_record", self.start_record))
-            self._handle = open(self.path, "ab")
-        else:
-            header_bytes = json.dumps(
-                {
-                    "format_version": WAL_VERSION,
-                    "kind": "rambo-wal",
-                    "config": config.to_dict(),
-                    "generation": self.generation,
-                    "segment": self.segment,
-                    "start_record": self.start_record,
-                },
-                separators=(",", ":"),
-            ).encode("utf-8")
-            self._handle = open(self.path, "wb")
-            self._handle.write(WAL_MAGIC)
-            self._handle.write(b"\x00")
-            self._handle.write(len(header_bytes).to_bytes(8, "little"))
-            self._handle.write(header_bytes)
-            self._commit()
-            fsync_directory(self.path.parent)
-        self.committed_bytes = self._handle.tell()
-
-    def _commit(self) -> None:
-        self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
-        self.sync_count += 1
-
-    @property
-    def size_bytes(self) -> int:
-        """Current segment length (committed plus buffered bytes)."""
-        return self._handle.tell()
-
-    def append(self, documents: Sequence[KmerDocument], *, sync: bool = True) -> int:
-        """Append a document batch; returns the new segment length.
-
-        With ``sync=True`` (the default) one flush+fsync commits the batch
-        — the batch is the commit unit, matching the engine's ack
-        granularity.  With ``sync=False`` the records are buffered only: a
-        group-commit caller batches several appends behind one later
-        :meth:`sync` and must not acknowledge anything before it returns.
-        The whole batch is encoded before any byte is buffered, and a
-        write-path failure truncates the segment back to the batch start:
-        a failed append can never leave record bytes behind for a later
-        commit to fsync as if they had been acknowledged.
-        """
-        payloads = [encode_document(document) for document in documents]
-        start = self._handle.tell()
-        try:
-            for payload in payloads:
-                self._handle.write(
-                    _RECORD_PREFIX.pack(len(payload), zlib.crc32(payload))
-                )
-                self._handle.write(payload)
-            if sync:
-                self._commit()
-        except Exception:
-            try:
-                # truncate() flushes any buffered partial batch first, then
-                # cuts the file back to the last committed record; the seek
-                # keeps size_bytes honest for the next append.
-                self._handle.truncate(start)
-                self._handle.seek(start)
-                self._commit()
-            except Exception:
-                # Rollback itself failed (dying disk): poison the handle so
-                # no later append can commit the orphaned bytes.
-                self._handle.close()
-            raise
-        if sync:
-            self.records_appended += len(documents)
-            self.committed_bytes = self._handle.tell()
-        else:
-            self._pending_records += len(documents)
-        return self._handle.tell()
-
-    def sync(self) -> int:
-        """Commit every buffered ``append(..., sync=False)`` batch at once.
-
-        The group-commit durability point: when this returns, all buffered
-        records are on stable storage and may be acknowledged.  Returns the
-        committed segment length.  A failed commit poisons the handle —
-        the storage is dying and no later append may silently succeed.
-        """
-        try:
-            self._commit()
-        except Exception:
-            self._handle.close()
-            raise
-        self.records_appended += self._pending_records
-        self._pending_records = 0
-        self.committed_bytes = self._handle.tell()
-        return self.committed_bytes
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "WalWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def wal_segment_name(generation: int, segment: int = 0) -> str:
@@ -579,9 +353,10 @@ class GenerationReplay:
     """The outcome of replaying every segment of one generation.
 
     ``documents`` concatenates the intact records of all segments in
-    order.  Only the final segment may carry torn-tail damage; its
-    per-segment :class:`WalReplay` is kept in ``tail`` so
-    :func:`truncate_torn_generation` can cut it back.
+    order.  Only the final segment may carry torn-tail damage:
+    ``torn_bytes`` / ``torn_reason`` describe it, and its entry in
+    ``segments`` ends at the intact prefix that
+    :func:`truncate_torn_generation` cuts it back to.
     """
 
     header: Dict
@@ -590,11 +365,54 @@ class GenerationReplay:
     segments: List[SegmentInfo] = field(default_factory=list)
     torn_bytes: int = 0
     torn_reason: Optional[str] = None
-    tail: Optional[WalReplay] = None
 
     @property
     def generation(self) -> int:
         return int(self.header["generation"])
+
+
+def _replay_segment(
+    path: Path, expected_config: Optional[RamboConfig]
+) -> Tuple[Dict, SegmentInfo, List[KmerDocument], int, Optional[str]]:
+    """``(header, info, documents, torn_bytes, torn_reason)`` of one segment, read once.
+
+    The walk stops at the first frame that is short, fails its CRC32 or does
+    not decode: what follows is a crash's un-acknowledged debris, reported
+    (``info.committed_bytes`` ends before it), not raised.  A pinned config
+    other than *expected_config* raises — replaying against a differently
+    seeded or shaped base would build a silently divergent delta.
+    """
+    with open(path, "rb") as handle:
+        header, data_offset = _read_header(handle, path)
+        if expected_config is not None:
+            pinned = RamboConfig.from_dict(header["config"])
+            if pinned != expected_config:
+                raise WalFormatError(
+                    f"{path} was written for config {pinned}, "
+                    f"cannot replay against {expected_config}"
+                )
+        data = handle.read()
+    documents: List[KmerDocument] = []
+    frames = iter_frames(data)
+    valid = 0
+    for start, end in frames:
+        try:
+            documents.append(decode_document(data[start:end]))
+        except WalFormatError as exc:
+            torn_reason: Optional[str] = f"undecodable payload: {exc}"
+            break
+        valid = end
+    else:
+        torn_reason = frames.torn_reason
+    info = SegmentInfo(
+        path=path,
+        segment=int(header.get("segment", 0)),
+        start_record=int(header.get("start_record", 0)),
+        records=len(documents),
+        committed_bytes=data_offset + valid,
+        data_offset=data_offset,
+    )
+    return header, info, documents, len(data) - valid, torn_reason
 
 
 def replay_wal_generation(
@@ -615,68 +433,74 @@ def replay_wal_generation(
         return None
     result: Optional[GenerationReplay] = None
     for position, path in enumerate(paths):
-        replay = replay_wal(path, expected_config)
-        header = replay.header
-        pinned_segment = int(header.get("segment", 0))
-        pinned_start = int(header.get("start_record", 0))
-        if pinned_segment != position:
+        header, info, documents, torn_bytes, torn_reason = _replay_segment(
+            path, expected_config
+        )
+        if info.segment != position:
             raise WalFormatError(
-                f"{path} pins segment index {pinned_segment} but sits at "
+                f"{path} pins segment index {info.segment} but sits at "
                 f"position {position} of generation {generation}"
             )
         if result is None:
             result = GenerationReplay(header=header)
-        if pinned_start != result.records:
+        if info.start_record != result.records:
             raise WalFormatError(
-                f"{path} pins start_record {pinned_start} but "
+                f"{path} pins start_record {info.start_record} but "
                 f"{result.records} records precede it"
             )
-        if replay.torn_bytes and position != len(paths) - 1:
+        if torn_bytes and position != len(paths) - 1:
             raise WalFormatError(
-                f"{path} has torn-tail damage ({replay.torn_reason}) but is "
+                f"{path} has torn-tail damage ({torn_reason}) but is "
                 f"not the final segment of generation {generation} — a "
                 f"crash cannot tear a sealed segment; this is corruption"
             )
-        _, data_offset = read_wal_header(path)
-        result.segments.append(
-            SegmentInfo(
-                path=path,
-                segment=position,
-                start_record=result.records,
-                records=replay.records,
-                committed_bytes=replay.valid_bytes,
-                data_offset=data_offset,
-            )
-        )
-        result.documents.extend(replay.documents)
-        result.records += replay.records
-        if position == len(paths) - 1:
-            result.torn_bytes = replay.torn_bytes
-            result.torn_reason = replay.torn_reason
-            result.tail = replay
+        result.segments.append(info)
+        result.documents.extend(documents)
+        result.records += info.records
+        result.torn_bytes, result.torn_reason = torn_bytes, torn_reason
     return result
 
 
 def truncate_torn_generation(replay: GenerationReplay) -> int:
-    """Cut the generation's final segment back to its intact prefix."""
-    if replay.tail is None or replay.torn_bytes <= 0:
+    """Cut the final segment back to its intact prefix; returns bytes dropped.
+
+    Idempotent and durable (ftruncate + fsync): after this the segment ends
+    exactly at the last acknowledged record, so the writer can append again
+    without interleaving new records with crash debris.
+    """
+    if replay.torn_bytes <= 0:
         return 0
-    return truncate_torn_tail(replay.segments[-1].path, replay.tail)
+    tail = replay.segments[-1]
+    with open(tail.path, "r+b") as handle:
+        handle.truncate(tail.committed_bytes)
+        handle.flush()
+        os.fsync(handle.fileno())
+    return replay.torn_bytes
 
 
 class SegmentedWalWriter:
-    """A :class:`WalWriter` that rolls to a fresh segment at a size bound.
+    """Append-only writer of one generation's WAL, fsyncing each committed
+    batch and rolling to a fresh segment at a size bound.
+
+    A new segment's header (and directory entry) is fsynced before the
+    first append; an existing one's header must match *config* and
+    *generation*.  After a crash, replay and truncate first and pass the
+    replay's ``segments``: writing resumes in the last one.
+
+    The durability contract of :meth:`append`: when it returns, every record
+    of the batch is on stable storage (``flush`` + ``os.fsync``).  Only then
+    may the engine acknowledge the write or mutate the in-memory delta.
 
     Rolling bounds two things: the byte range any single replay or
     replication catch-up read must walk, and the copy cost of shipping a
     segment.  ``segment_bytes=0`` disables rolling (one segment per
-    generation — the pre-rolling behaviour).  The roll happens *before* a
-    batch once the current segment has reached the bound, so a batch never
-    straddles segments and the per-batch commit unit is unchanged.  Any
-    group-commit records still buffered in the old segment are synced as
-    part of sealing it — sealed segments are always fully committed, which
-    is what lets :func:`replay_wal_generation` treat torn damage anywhere
-    but the last segment as corruption.
+    generation).  The roll happens *before* a batch once the current
+    segment has reached the bound, so a batch never straddles segments and
+    the per-batch commit unit is unchanged.  Any group-commit records still
+    buffered in the old segment are synced as part of sealing it — sealed
+    segments are always fully committed, which is what lets
+    :func:`replay_wal_generation` treat torn damage anywhere but the last
+    segment as corruption.
     """
 
     def __init__(
@@ -694,138 +518,173 @@ class SegmentedWalWriter:
         self.generation = int(generation)
         self.segment_bytes = int(segment_bytes)
         self.fsync = fsync
-        self._sealed: List[SegmentInfo] = []
-        self._sealed_bytes = 0
-        self._sealed_records = 0
-        self._sealed_syncs = 0
-        self._sealed_session_records = 0
-        self._tail_resumed_records = 0
-        self.rolls = 0
+        #: Records committed and fsync batches issued through this writer.
+        self.records_appended = 0
+        self.sync_count = 0
+        # Buffered by ``append(..., sync=False)``, not yet committed.
+        self._pending_records = 0
+        self._pending_bytes = 0
+        # Every segment's committed extent; the last is the one being written.
+        self._segments: List[SegmentInfo] = list(segments[:-1]) if segments else []
         if segments:
-            for info in segments[:-1]:
-                self._sealed.append(info)
-                self._sealed_bytes += info.committed_bytes
-                self._sealed_records += info.records
             tail = segments[-1]
-            self._tail_resumed_records = tail.records
-            self._writer = WalWriter(
-                tail.path,
-                config,
-                self.generation,
-                fsync=fsync,
-                segment=tail.segment,
-                start_record=tail.start_record,
-            )
+            self._open(tail.segment, tail.start_record, tail.records)
         else:
-            self._writer = WalWriter(
-                self.directory / wal_segment_name(self.generation, 0),
-                config,
-                self.generation,
-                fsync=fsync,
-            )
-        _, self._writer_data_offset = read_wal_header(self._writer.path)
+            self._open(0, 0)
+
+    def _open(self, segment: int, start_record: int, records: int = 0) -> None:
+        """Make *segment* the one being written: validate an existing file
+        and append after its content, or create it with a durable header."""
+        path = self.directory / wal_segment_name(self.generation, segment)
+        if path.exists():
+            with open(path, "rb") as handle:
+                header, data_offset = _read_header(handle, path)
+            pinned = RamboConfig.from_dict(header["config"])
+            if pinned != self.config or int(header["generation"]) != self.generation:
+                raise WalFormatError(
+                    f"{path} belongs to another index generation "
+                    f"(gen {header['generation']}, config {pinned})"
+                )
+            segment = int(header.get("segment", segment))
+            start_record = int(header.get("start_record", start_record))
+            self._handle = open(path, "ab")
+            size = self._handle.tell()
+        else:
+            header_bytes = json.dumps(
+                {
+                    "format_version": WAL_VERSION,
+                    "kind": "rambo-wal",
+                    "config": self.config.to_dict(),
+                    "generation": self.generation,
+                    "segment": segment,
+                    "start_record": start_record,
+                },
+                separators=(",", ":"),
+            ).encode("utf-8")
+            self._handle = open(path, "wb")
+            try:
+                self._handle.write(
+                    WAL_MAGIC + b"\x00" + len(header_bytes).to_bytes(8, "little") + header_bytes
+                )
+                self._fsync()
+                fsync_directory(self.directory)
+            except BaseException:
+                self._handle.close()
+                raise
+            size = data_offset = _PRELUDE + len(header_bytes)
+        self._segments.append(SegmentInfo(path, segment, start_record, records, size, data_offset))
+
+    def _fsync(self) -> None:
+        self._handle.flush()
+        if self.fsync:
+            os.fsync(self._handle.fileno())
+        self.sync_count += 1
+
+    def _settle(self) -> None:
+        """Count the buffered records and bytes as committed (just synced)."""
+        current = self._segments[-1]
+        current.records += self._pending_records
+        current.committed_bytes += self._pending_bytes
+        self.records_appended += self._pending_records
+        self._pending_records = self._pending_bytes = 0
 
     @property
     def path(self) -> Path:
         """The segment currently being written (stats / display)."""
-        return self._writer.path
+        return self._segments[-1].path
 
     @property
     def size_bytes(self) -> int:
-        """Total WAL bytes across all segments of this generation."""
-        return self._sealed_bytes + self._writer.size_bytes
-
-    @property
-    def records_appended(self) -> int:
-        """Records committed through *this writer* since it was opened."""
-        return self._sealed_session_records + self._writer.records_appended
+        """Total WAL bytes across all segments, buffered ones included."""
+        return sum(info.committed_bytes for info in self._segments) + self._pending_bytes
 
     @property
     def committed_records(self) -> int:
         """Total committed records in the generation (all segments)."""
-        return (
-            self._sealed_records
-            + self._tail_resumed_records
-            + self._writer.records_appended
-        )
+        return self._segments[-1].end_record
 
     @property
     def total_records(self) -> int:
         """Committed plus still-buffered records (group-commit in flight)."""
-        return self.committed_records + self._writer._pending_records
-
-    @property
-    def sync_count(self) -> int:
-        """fsync batches issued across all segments (group-commit metric)."""
-        return self._sealed_syncs + self._writer.sync_count
+        return self.committed_records + self._pending_records
 
     @property
     def segment_count(self) -> int:
-        return len(self._sealed) + 1
+        return len(self._segments)
 
     def segment_infos(self) -> List[SegmentInfo]:
-        """Committed extent of every segment, current one included."""
-        infos = list(self._sealed)
-        infos.append(
-            SegmentInfo(
-                path=self._writer.path,
-                segment=self._writer.segment,
-                start_record=self._writer.start_record,
-                records=self.committed_records - self._writer.start_record,
-                committed_bytes=self._writer.committed_bytes,
-                data_offset=self._writer_data_offset,
-            )
-        )
-        return infos
-
-    def _maybe_roll(self) -> None:
-        if self.segment_bytes <= 0:
-            return
-        if self._writer.size_bytes < self.segment_bytes:
-            return
-        self._writer.sync()
-        next_segment = self._writer.segment + 1
-        next_start = self.committed_records
-        sealed = SegmentInfo(
-            path=self._writer.path,
-            segment=self._writer.segment,
-            start_record=self._writer.start_record,
-            records=next_start - self._writer.start_record,
-            committed_bytes=self._writer.committed_bytes,
-            data_offset=self._writer_data_offset,
-        )
-        self._sealed.append(sealed)
-        self._sealed_bytes += sealed.committed_bytes
-        self._sealed_records += sealed.records
-        self._sealed_syncs += self._writer.sync_count
-        self._sealed_session_records += self._writer.records_appended
-        self._tail_resumed_records = 0
-        self._writer.close()
-        self._writer = WalWriter(
-            self.directory / wal_segment_name(self.generation, next_segment),
-            self.config,
-            self.generation,
-            fsync=self.fsync,
-            segment=next_segment,
-            start_record=next_start,
-        )
-        _, self._writer_data_offset = read_wal_header(self._writer.path)
-        self.rolls += 1
+        """Committed extent of every segment, current one included (copies)."""
+        return [replace(info) for info in self._segments]
 
     def append(self, documents: Sequence[KmerDocument], *, sync: bool = True) -> int:
-        """Append a batch (rolling first if the bound is reached); returns
-        the generation's total WAL length."""
-        self._maybe_roll()
-        self._writer.append(documents, sync=sync)
+        """Append a document batch (rolling first if the bound is reached);
+        returns the generation's total WAL length.
+
+        With ``sync=True`` (the default) one flush+fsync commits the batch
+        — the batch is the commit unit, matching the engine's ack
+        granularity.  With ``sync=False`` the records are buffered only: a
+        group-commit caller batches several appends behind one later
+        :meth:`sync` and must not acknowledge anything before it returns.
+        The whole batch is encoded before any byte is buffered, and a
+        write-path failure truncates the segment back to the batch start:
+        a failed append can never leave record bytes behind for a later
+        commit to fsync as if they had been acknowledged.
+        """
+        if self.segment_bytes > 0 and self._end >= self.segment_bytes:
+            self.sync()
+            self._handle.close()
+            current = self._segments[-1]
+            self._open(current.segment + 1, current.end_record)
+        payloads = [encode_document(document) for document in documents]
+        start = self._end
+        try:
+            for payload in payloads:
+                self._handle.write(_RECORD_PREFIX.pack(len(payload), zlib.crc32(payload)))
+                self._handle.write(payload)
+            if sync:
+                self._fsync()
+        except Exception:
+            try:
+                # truncate() flushes any buffered partial batch first, then
+                # cuts the file back to the batch start; the seek puts the
+                # next write there.
+                self._handle.truncate(start)
+                self._handle.seek(start)
+                self._fsync()
+            except Exception:
+                # Rollback itself failed (dying disk): poison the handle so
+                # no later append can commit the orphaned bytes.
+                self._handle.close()
+            raise
+        self._pending_records += len(payloads)
+        self._pending_bytes += _RECORD_PREFIX.size * len(payloads) + sum(map(len, payloads))
+        if sync:
+            self._settle()
         return self.size_bytes
 
+    @property
+    def _end(self) -> int:  # the current segment's length, buffered bytes included
+        return self._segments[-1].committed_bytes + self._pending_bytes
+
     def sync(self) -> int:
-        """Commit buffered group-commit batches; returns committed records."""
-        self._writer.sync()
+        """Commit every buffered ``append(..., sync=False)`` batch at once.
+
+        The group-commit durability point: when this returns, all buffered
+        records are on stable storage and may be acknowledged.  Returns the
+        committed record count.  A failed commit poisons the handle — the
+        storage is dying and no later append may silently succeed.
+        """
+        try:
+            self._fsync()
+        except Exception:
+            self._handle.close()
+            raise
+        self._settle()
         return self.committed_records
 
     def close(self) -> None:
-        self._writer.close()
+        if not self._handle.closed:
+            self._handle.close()
 
     def __enter__(self) -> "SegmentedWalWriter":
         return self

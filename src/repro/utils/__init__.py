@@ -1,14 +1,11 @@
-"""Cross-cutting helpers: timing, memory accounting and summary statistics."""
+"""Cross-cutting helpers: timing and memory accounting."""
 
 from repro.utils.timing import Timer, time_callable
 from repro.utils.memory import human_bytes, index_size_report
-from repro.utils.stats import summarize, percentile
 
 __all__ = [
     "Timer",
     "time_callable",
     "human_bytes",
     "index_size_report",
-    "summarize",
-    "percentile",
 ]

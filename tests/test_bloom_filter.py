@@ -1,4 +1,4 @@
-"""Tests for the Bloom filter, scalable and counting variants."""
+"""Tests for the Bloom filter and its scalable variant."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bloom.bloom_filter import BloomFilter, optimal_num_bits, optimal_num_hashes
-from repro.bloom.counting import CountingBloomFilter
 from repro.bloom.scalable import ScalableBloomFilter
 
 keys = st.lists(st.text(min_size=1, max_size=12), min_size=0, max_size=60, unique=True)
@@ -203,56 +202,3 @@ class TestScalableBloomFilter:
         sbf = ScalableBloomFilter(initial_capacity=16, fp_rate=0.01)
         sbf.update(f"k{i}" for i in range(50))
         assert 0.0 <= sbf.expected_false_positive_rate() < 1.0
-
-
-class TestCountingBloomFilter:
-    def test_add_remove_cycle(self):
-        cbf = CountingBloomFilter(num_counters=1 << 12, num_hashes=3, seed=1)
-        cbf.add("kmer1")
-        cbf.add("kmer2")
-        assert "kmer1" in cbf
-        cbf.remove("kmer1")
-        assert "kmer1" not in cbf
-        assert "kmer2" in cbf
-
-    def test_remove_missing_raises(self):
-        cbf = CountingBloomFilter(num_counters=1 << 10, num_hashes=2)
-        with pytest.raises(KeyError):
-            cbf.remove("never-added")
-
-    def test_duplicate_insertions_require_matching_removals(self):
-        cbf = CountingBloomFilter(num_counters=1 << 12, num_hashes=3)
-        cbf.add("dup")
-        cbf.add("dup")
-        cbf.remove("dup")
-        assert "dup" in cbf
-        cbf.remove("dup")
-        assert "dup" not in cbf
-
-    def test_saturation_does_not_lose_members(self):
-        cbf = CountingBloomFilter(num_counters=64, num_hashes=1, counter_bits=8, seed=7)
-        for _ in range(300):
-            cbf.add("hot-key")
-        assert "hot-key" in cbf
-        cbf.remove("hot-key")
-        # A saturated counter sticks, so the key must still appear present.
-        assert "hot-key" in cbf
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            CountingBloomFilter(num_counters=0)
-        with pytest.raises(ValueError):
-            CountingBloomFilter(num_counters=10, num_hashes=0)
-        with pytest.raises(ValueError):
-            CountingBloomFilter(num_counters=10, counter_bits=7)
-
-    def test_size_accounting(self):
-        cbf = CountingBloomFilter(num_counters=100, counter_bits=16)
-        assert cbf.size_in_bytes() == 200
-
-    @given(keys)
-    @settings(max_examples=30)
-    def test_property_no_false_negatives(self, items):
-        cbf = CountingBloomFilter(num_counters=1 << 12, num_hashes=3, seed=6)
-        cbf.update(items)
-        assert all(item in cbf for item in items)

@@ -51,16 +51,13 @@ from repro.io.walformat import (
     CHECKSUM_MISMATCH,
     SegmentedWalWriter,
     WalFormatError,
-    WalWriter,
     decode_document,
     encode_document,
     iter_frames,
-    read_wal_header,
-    replay_wal,
     replay_wal_generation,
     truncate_torn_generation,
-    truncate_torn_tail,
     validate_document,
+    wal_segment_name,
 )
 from repro.kmers.extraction import KmerDocument
 from repro.serve.client import ServeClient, ServeClientError
@@ -123,6 +120,23 @@ term_sets = st.lists(
     st.integers(min_value=0, max_value=TERM_UNIVERSE - 1), min_size=1, max_size=10
 )
 doc_collections = st.lists(term_sets, min_size=1, max_size=12)
+
+
+class FailingHandle:
+    """A file handle whose writes fail after *fail_after* successful ones."""
+
+    def __init__(self, real, fail_after):
+        self._real = real
+        self._writes_left = fail_after
+
+    def write(self, data):
+        if self._writes_left <= 0:
+            raise OSError("disk error injected by test")
+        self._writes_left -= 1
+        return self._real.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
 
 
 class TestWalFormat:
@@ -202,9 +216,8 @@ class TestWalFormat:
         """An unencodable document anywhere in a batch must abort the append
         before ANY record bytes are buffered — otherwise the next successful
         append's fsync would commit records for unacknowledged documents."""
-        path = tmp_path / "seg.log"
         bad = KmerDocument("n" * 0x10000, np.asarray([1], dtype=np.uint64))
-        with WalWriter(path, CONFIG, generation=0) as writer:
+        with SegmentedWalWriter(tmp_path, CONFIG, 0) as writer:
             writer.append([make_doc("acked", [1, 2])])
             size_before = writer.size_bytes
             with pytest.raises(WalFormatError, match="name too long"):
@@ -212,30 +225,14 @@ class TestWalFormat:
             assert writer.size_bytes == size_before
             assert writer.records_appended == 1
             writer.append([make_doc("after", [4])])
-        replay = replay_wal(path, expected_config=CONFIG)
+        replay = replay_wal_generation(tmp_path, 0, CONFIG)
         assert [d.name for d in replay.documents] == ["acked", "after"]
         assert replay.torn_bytes == 0
 
     def test_write_failure_mid_batch_rolls_the_segment_back(self, tmp_path):
         """An OS-level write failure mid-batch truncates back to the last
         committed record instead of leaving orphaned bytes in the buffer."""
-
-        class FailingHandle:
-            def __init__(self, real, fail_after):
-                self._real = real
-                self._writes_left = fail_after
-
-            def write(self, data):
-                if self._writes_left <= 0:
-                    raise OSError("disk error injected by test")
-                self._writes_left -= 1
-                return self._real.write(data)
-
-            def __getattr__(self, name):
-                return getattr(self._real, name)
-
-        path = tmp_path / "seg.log"
-        with WalWriter(path, CONFIG, generation=0) as writer:
+        with SegmentedWalWriter(tmp_path, CONFIG, 0) as writer:
             writer.append([make_doc("acked", [1, 2])])
             size_before = writer.size_bytes
             real_handle = writer._handle  # noqa: SLF001
@@ -244,67 +241,172 @@ class TestWalFormat:
                 writer.append([make_doc("b0", [3]), make_doc("b1", [4])])
             writer._handle = real_handle  # noqa: SLF001
             assert writer.size_bytes == size_before
+            assert (tmp_path / wal_segment_name(0)).stat().st_size == size_before
             writer.append([make_doc("after", [5])])
-        replay = replay_wal(path, expected_config=CONFIG)
+        replay = replay_wal_generation(tmp_path, 0, CONFIG)
         assert [d.name for d in replay.documents] == ["acked", "after"]
         assert replay.torn_bytes == 0
 
+    def test_a_failed_batch_keeps_the_buffered_batches_before_it(self, tmp_path):
+        """The rollback cuts back to the failed batch's start, not to the
+        last commit: group-commit records buffered before it still commit."""
+        bad = KmerDocument("n" * 0x10000, np.asarray([1], dtype=np.uint64))
+        with SegmentedWalWriter(tmp_path, CONFIG, 0) as writer:
+            writer.append([make_doc("acked", [1])])
+            writer.append([make_doc("buffered", [2])], sync=False)
+            size_before = writer.size_bytes
+            with pytest.raises(WalFormatError, match="name too long"):
+                writer.append([bad], sync=False)
+            real_handle = writer._handle  # noqa: SLF001
+            writer._handle = FailingHandle(real_handle, fail_after=0)  # noqa: SLF001
+            with pytest.raises(OSError, match="disk error"):
+                writer.append([make_doc("failed", [3])], sync=False)
+            writer._handle = real_handle  # noqa: SLF001
+            assert writer.size_bytes == size_before
+            assert writer.total_records == 2 and writer.committed_records == 1
+            assert writer.sync() == 2
+        replay = replay_wal_generation(tmp_path, 0, CONFIG)
+        assert [d.name for d in replay.documents] == ["acked", "buffered"]
+        assert replay.torn_bytes == 0
+
+    def test_a_failed_commit_or_rollback_poisons_the_writer(self, tmp_path, monkeypatch):
+        """A group commit whose fsync fails, or a failed batch whose rollback
+        fsync fails too, closes the handle: no later append can commit."""
+        real_fsync = os.fsync
+
+        def failing_fsync(fd):
+            raise OSError("fsync error injected by test")
+
+        for name in ("commit", "rollback"):
+            (tmp_path / name).mkdir()
+        with SegmentedWalWriter(tmp_path / "commit", CONFIG, 0) as writer:
+            writer.append([make_doc("acked", [1])])
+            writer.append([make_doc("buffered", [2])], sync=False)
+            monkeypatch.setattr(os, "fsync", failing_fsync)
+            with pytest.raises(OSError, match="fsync error"):
+                writer.sync()
+            monkeypatch.setattr(os, "fsync", real_fsync)
+            with pytest.raises(ValueError):
+                writer.append([make_doc("later", [3])])
+            assert writer.committed_records == 1
+        with SegmentedWalWriter(tmp_path / "rollback", CONFIG, 0) as writer:
+            writer.append([make_doc("acked", [1])])
+            monkeypatch.setattr(os, "fsync", failing_fsync)
+            with pytest.raises(OSError, match="fsync error"):
+                writer.append([make_doc("failed", [2])])  # commit, then rollback fail
+            monkeypatch.setattr(os, "fsync", real_fsync)
+            with pytest.raises(ValueError):
+                writer.append([make_doc("later", [3])])
+        replay = replay_wal_generation(tmp_path / "rollback", 0, CONFIG)
+        assert [d.name for d in replay.documents] == ["acked"]
+
     def test_writer_then_replay(self, tmp_path):
-        path = tmp_path / "seg.log"
         docs = [make_doc(f"d{i}", [i, i + 1, i + 7]) for i in range(5)]
-        with WalWriter(path, CONFIG, generation=0) as writer:
+        with SegmentedWalWriter(tmp_path, CONFIG, 0) as writer:
             writer.append(docs[:2])
             writer.append(docs[2:])
             assert writer.records_appended == 5
-        replay = replay_wal(path, expected_config=CONFIG)
+        replay = replay_wal_generation(tmp_path, 0, CONFIG)
         assert replay.records == 5
         assert replay.torn_bytes == 0 and replay.torn_reason is None
         assert replay.generation == 0
         assert [d.name for d in replay.documents] == [d.name for d in docs]
-        header, offset = read_wal_header(path)
-        assert header["kind"] == "rambo-wal"
-        assert replay.valid_bytes == path.stat().st_size
+        assert replay.header["kind"] == "rambo-wal"
+        assert replay.segments[-1].committed_bytes == (tmp_path / wal_segment_name(0)).stat().st_size
 
     def test_header_pins_config(self, tmp_path):
-        path = tmp_path / "seg.log"
-        WalWriter(path, CONFIG, generation=0).close()
+        SegmentedWalWriter(tmp_path, CONFIG, 0).close()
         other = RamboConfig(num_partitions=8, repetitions=2, bfu_bits=1 << 10, k=9, seed=99)
         with pytest.raises(WalFormatError, match="cannot replay against"):
-            replay_wal(path, expected_config=other)
+            replay_wal_generation(tmp_path, 0, other)
 
     def test_reopen_validates_generation_and_config(self, tmp_path):
-        path = tmp_path / "seg.log"
-        WalWriter(path, CONFIG, generation=2).close()
+        SegmentedWalWriter(tmp_path, CONFIG, 2).close()
         # Matching reopen appends after the existing content.
-        with WalWriter(path, CONFIG, generation=2) as writer:
+        with SegmentedWalWriter(tmp_path, CONFIG, 2) as writer:
             writer.append([make_doc("x", [1])])
-        assert replay_wal(path).records == 1
+        assert replay_wal_generation(tmp_path, 2).records == 1
+        other = RamboConfig(num_partitions=8, repetitions=2, bfu_bits=1 << 10, k=9, seed=99)
         with pytest.raises(WalFormatError, match="another index generation"):
-            WalWriter(path, CONFIG, generation=3)
+            SegmentedWalWriter(tmp_path, other, 2)
+        # A generation-2 segment under generation 3's name.
+        shutil.copy(tmp_path / wal_segment_name(2), tmp_path / wal_segment_name(3))
+        with pytest.raises(WalFormatError, match="another index generation"):
+            SegmentedWalWriter(tmp_path, CONFIG, 3)
 
     def test_bad_magic_raises(self, tmp_path):
-        path = tmp_path / "seg.log"
-        path.write_bytes(b"NOTAWAL\n" + b"\x00" * 32)
+        (tmp_path / wal_segment_name(0)).write_bytes(b"NOTAWAL\n" + b"\x00" * 32)
         with pytest.raises(WalFormatError, match="bad magic"):
-            replay_wal(path)
+            replay_wal_generation(tmp_path, 0)
+        with pytest.raises(WalFormatError, match="bad magic"):
+            SegmentedWalWriter(tmp_path, CONFIG, 0)
         # A damaged header-length field is a format error, not a 4 EiB read.
-        damaged_path = tmp_path / "damaged.log"
-        WalWriter(damaged_path, CONFIG, generation=0).close()
+        SegmentedWalWriter(tmp_path, CONFIG, 1).close()
+        damaged_path = tmp_path / wal_segment_name(1)
         damaged = bytearray(damaged_path.read_bytes())
         damaged[8:16] = (2**62).to_bytes(8, "little")
         damaged_path.write_bytes(bytes(damaged))
         with pytest.raises(WalFormatError, match="truncated inside the segment header"):
-            replay_wal(damaged_path)
+            replay_wal_generation(tmp_path, 1)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("prelude", "truncated inside the segment prelude"),
+            ("version", "unsupported WAL version 2"),
+            ("no-generation", "missing config/generation"),
+            ("sealed-torn", "cannot tear a sealed segment"),
+            ("segment", "pins segment index 2 but sits at position 1"),
+            ("start-record", "pins start_record 5 but 1 records precede it"),
+            ("no-base", "base segment wal-000000.log is missing"),
+            ("gap", "is missing WAL segment wal-000000-0001.seg"),
+        ],
+    )
+    def test_a_damaged_generation_is_refused(self, tmp_path, damage, message):
+        """Damage a crash cannot cause — anywhere but the last segment's
+        tail — raises instead of replaying a silently shorter log."""
+        # Just above the 192-byte header: one record per segment.
+        with SegmentedWalWriter(tmp_path, CONFIG, 0, segment_bytes=200) as writer:
+            for i in range(3):
+                writer.append([make_doc(f"d{i}", [i])])
+            assert writer.segment_count == 3
+        base, first, second = (tmp_path / wal_segment_name(0, s) for s in range(3))
+
+        def rewrite_header(path, **changes):
+            data = path.read_bytes()
+            length = int.from_bytes(data[8:16], "little")
+            header = {**json.loads(data[16 : 16 + length]), **changes}
+            raw = json.dumps({k: v for k, v in header.items() if v is not None}).encode()
+            path.write_bytes(data[:8] + len(raw).to_bytes(8, "little") + raw + data[16 + length :])
+
+        if damage == "prelude":
+            second.write_bytes(second.read_bytes()[:12])
+        elif damage == "version":
+            rewrite_header(first, format_version=2)
+        elif damage == "no-generation":
+            rewrite_header(first, generation=None)
+        elif damage == "sealed-torn":
+            first.write_bytes(first.read_bytes()[:-1])
+        elif damage == "segment":
+            rewrite_header(first, segment=2)
+        elif damage == "start-record":
+            rewrite_header(first, start_record=5)
+        elif damage == "no-base":
+            base.unlink()
+        else:
+            first.unlink()
+        with pytest.raises(WalFormatError, match=message):
+            replay_wal_generation(tmp_path, 0, CONFIG)
 
     @given(cut=st.integers(min_value=1, max_value=10_000))
     @tier("standard")
     def test_torn_tail_at_any_byte_keeps_the_acked_prefix(self, cut):
         """Cutting anywhere inside the last record loses exactly that record."""
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "seg.log"
+            path = Path(tmp) / wal_segment_name(0)
             acked = [make_doc(f"d{i}", [i, i + 3]) for i in range(3)]
             unacked = make_doc("torn", [40, 41, 42])
-            with WalWriter(path, CONFIG, generation=0) as writer:
+            with SegmentedWalWriter(tmp, CONFIG, 0) as writer:
                 writer.append(acked)
                 intact = writer.size_bytes
                 writer.append([unacked])
@@ -313,34 +415,33 @@ class TestWalFormat:
             keep = intact + cut % (full - intact)
             with open(path, "r+b") as handle:
                 handle.truncate(keep)
-            replay = replay_wal(path, expected_config=CONFIG)
+            replay = replay_wal_generation(tmp, 0, CONFIG)
             assert [d.name for d in replay.documents] == ["d0", "d1", "d2"]
-            assert replay.valid_bytes == intact
+            assert replay.segments[-1].committed_bytes == intact
             assert replay.torn_bytes == keep - intact
             if replay.torn_bytes:
                 assert replay.torn_reason is not None
-            dropped = truncate_torn_tail(path, replay)
+            dropped = truncate_torn_generation(replay)
             assert dropped == keep - intact
             assert path.stat().st_size == intact
             # Idempotent: a second replay is clean and truncation is a no-op.
-            again = replay_wal(path)
+            again = replay_wal_generation(tmp, 0)
             assert again.torn_bytes == 0 and again.records == 3
-            assert truncate_torn_tail(path, again) == 0
+            assert truncate_torn_generation(again) == 0
 
     def test_checksum_damage_ends_replay_at_the_damage(self, tmp_path):
-        path = tmp_path / "seg.log"
-        with WalWriter(path, CONFIG, generation=0) as writer:
+        with SegmentedWalWriter(tmp_path, CONFIG, 0) as writer:
             writer.append([make_doc("ok", [1, 2])])
             intact = writer.size_bytes
             writer.append([make_doc("bad", [3, 4])])
+        path = tmp_path / wal_segment_name(0)
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF  # flip a payload byte of the second record
         path.write_bytes(bytes(data))
-        replay = replay_wal(path)
+        replay = replay_wal_generation(tmp_path, 0)
         assert [d.name for d in replay.documents] == ["ok"]
         assert replay.torn_reason == "payload checksum mismatch"
-        assert replay.valid_bytes == intact
-
+        assert replay.segments[-1].committed_bytes == intact
 
 class TestPinnedWalBytes:
     """The WAL's bytes and fsyncs, pinned: the digests and the count are
@@ -637,7 +738,7 @@ class TestIngestEngine:
         """At-least-once replay: a WAL record that also made it into the base
         (the crash-during-compaction window) must not double-index."""
         ingest_stack.stop()
-        with WalWriter(ingest_stack.wal_dir / "wal-000000.log", CONFIG, 0) as writer:
+        with SegmentedWalWriter(ingest_stack.wal_dir, CONFIG, 0) as writer:
             writer.append([make_doc("base0", [0, 1, 2]), make_doc("fresh", [55])])
         engine = ingest_stack.start()
         stats = engine.stats()["wal"]
@@ -653,7 +754,7 @@ class TestIngestEngine:
         whose ack was lost) must recover — first record wins — instead of
         add_documents raising and wedging startup forever."""
         ingest_stack.stop()
-        with WalWriter(ingest_stack.wal_dir / "wal-000000.log", CONFIG, 0) as writer:
+        with SegmentedWalWriter(ingest_stack.wal_dir, CONFIG, 0) as writer:
             writer.append([make_doc("fresh", [55, 56]), make_doc("other", [57])])
             writer.append([make_doc("fresh", [55, 56])])  # the retried batch
         engine = ingest_stack.start()
@@ -671,7 +772,7 @@ class TestIngestEngine:
         ingest_stack.stop()
         other = RamboConfig(num_partitions=8, repetitions=2, bfu_bits=1 << 10, k=9, seed=3)
         (ingest_stack.wal_dir / "wal-000000.log").unlink()
-        with WalWriter(ingest_stack.wal_dir / "wal-000000.log", other, 0) as writer:
+        with SegmentedWalWriter(ingest_stack.wal_dir, other, 0) as writer:
             writer.append([make_doc("x", [1])])
         with pytest.raises(WalFormatError):
             ingest_stack.start()
@@ -691,7 +792,7 @@ class TestIngestEngine:
         assert served.is_mapped and served.num_documents == 11
         # The old generation's WAL is gone; the new segment starts empty.
         assert not (ingest_stack.wal_dir / "wal-000000.log").exists()
-        assert replay_wal(ingest_stack.wal_dir / "wal-000001.log").records == 0
+        assert replay_wal_generation(ingest_stack.wal_dir, 1).records == 0
         reference = build_reference(CONFIG, ingest_stack.base_docs + docs)
         assert_identical(served, reference, range(TERM_UNIVERSE))
 
@@ -717,7 +818,7 @@ class TestIngestEngine:
         orphan_tmp = ingest_stack.wal_dir / "snapshot-000001.tmp"
         orphan_snap.write_bytes(b"half-written snapshot")
         orphan_tmp.write_bytes(b"partial")
-        WalWriter(orphan_wal, CONFIG, 1).close()
+        SegmentedWalWriter(ingest_stack.wal_dir, CONFIG, 1).close()
         ingest_stack.start()
         assert not orphan_snap.exists()
         assert not orphan_wal.exists()

@@ -139,15 +139,15 @@ class TestParallelMap:
             names = parallel_map(lambda _: threading.current_thread().name, range(8))
         assert any(name.startswith("repro-exec") for name in names)
 
-    def test_explicit_threads_argument_overrides_global(self):
+    def test_a_nested_num_threads_overrides_the_outer_one(self):
         shutdown_pool()
         with num_threads(8):
-            parallel_map(lambda x: x, [1, 2, 3], threads=1)
-            assert executor._pool is None  # threads=1 bypassed the pool
+            with num_threads(1):
+                parallel_map(lambda x: x, [1, 2, 3])
+            assert executor._pool is None  # num_threads(1) bypassed the pool
         with num_threads(1):
-            names = parallel_map(
-                lambda _: threading.current_thread().name, range(8), threads=3
-            )
+            with num_threads(3):
+                names = parallel_map(lambda _: threading.current_thread().name, range(8))
         assert any(name.startswith("repro-exec") for name in names)
 
     def test_error_propagates(self):

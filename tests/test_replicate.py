@@ -54,8 +54,8 @@ from repro.ingest import store as store_module
 from repro.ingest.overlay import LiveDelta
 from repro.ingest.store import GenerationStore, ReplicationLagError
 from repro.io.walformat import (
+    SegmentedWalWriter,
     WalFormatError,
-    WalWriter,
     decode_document,
     encode_document,
     iter_frames,
@@ -964,7 +964,9 @@ class TestGenerationCrashWindows:
         folded = cluster.acked[-1]  # in snapshot-1 after the advance
         self.advance(role, cluster)
         fresh = make_doc("fresh", [33, 34])
-        with WalWriter(store.wal.path, CONFIG, 1) as writer:
+        with SegmentedWalWriter(
+            store.directory, CONFIG, 1, segments=store.wal.segment_infos()
+        ) as writer:
             writer.append([folded, fresh])  # durable, never acknowledged
         cluster.acked.append(fresh)
         with self.reopened(role, cluster) as (service, engine):

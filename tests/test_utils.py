@@ -1,11 +1,10 @@
-"""Tests for the timing, memory and statistics helpers."""
+"""Tests for the timing and memory helpers."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.utils.memory import human_bytes, index_size_report
-from repro.utils.stats import percentile, summarize
 from repro.utils.timing import Timer, time_callable
 
 
@@ -45,33 +44,3 @@ class TestMemoryHelpers:
         report = index_size_report({"bfus": 1024, "names": 1024})
         assert report["total"] == "2.00 KB"
         assert set(report) == {"bfus", "names", "total"}
-
-
-class TestStats:
-    def test_percentile_interpolation(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 0) == 1.0
-        assert percentile(values, 100) == 4.0
-        assert percentile(values, 50) == pytest.approx(2.5)
-
-    def test_percentile_single_value(self):
-        assert percentile([7.0], 95) == 7.0
-
-    def test_percentile_validation(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-        with pytest.raises(ValueError):
-            percentile([1.0], 150)
-
-    def test_summarize_fields(self):
-        summary = summarize([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert summary["count"] == 5
-        assert summary["mean"] == pytest.approx(3.0)
-        assert summary["min"] == 1.0
-        assert summary["max"] == 5.0
-        assert summary["median"] == 3.0
-        assert summary["std"] == pytest.approx(1.4142, rel=1e-3)
-
-    def test_summarize_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
