@@ -47,6 +47,7 @@ from repro.core.rambo import Rambo, RamboConfig
 from repro.core.serialization import save_index
 from repro.ingest import DeltaOverlayIndex, IngestEngine
 from repro.ingest import engine as engine_module
+from repro.io import walformat
 from repro.io.walformat import (
     CHECKSUM_MISMATCH,
     SegmentedWalWriter,
@@ -442,6 +443,65 @@ class TestWalFormat:
         assert [d.name for d in replay.documents] == ["ok"]
         assert replay.torn_reason == "payload checksum mismatch"
         assert replay.segments[-1].committed_bytes == intact
+
+    def test_a_header_is_read_once_per_segment_and_never_read_back(self, tmp_path, monkeypatch):
+        """Replay reads each segment's header once; the writer learns the data
+        offset of a header it writes, so only validating a reopened one reads."""
+        reads = []
+        real_read_header = walformat._read_header  # noqa: SLF001
+
+        def counting_read_header(handle, path):
+            reads.append(Path(path).name)
+            return real_read_header(handle, path)
+
+        monkeypatch.setattr(walformat, "_read_header", counting_read_header)
+        with SegmentedWalWriter(tmp_path, CONFIG, 0, segment_bytes=200) as writer:
+            for i in range(3):
+                writer.append([make_doc(f"d{i}", [i])])  # rolls twice
+            assert writer.segment_count == 3
+        assert reads == []
+        replay = replay_wal_generation(tmp_path, 0, CONFIG)
+        names = [wal_segment_name(0, s) for s in range(3)]
+        assert reads == names
+        del reads[:]
+        with SegmentedWalWriter(
+            tmp_path, CONFIG, 0, segment_bytes=200, segments=replay.segments
+        ) as writer:
+            writer.append([make_doc("after", [7])])  # rolls into a fourth segment
+            assert writer.segment_count == 4
+        assert reads == [names[-1]]
+
+    def test_the_writer_counters_agree_with_a_replay_of_its_segments(self, tmp_path):
+        """Every counter is derived from one list of segment extents: after
+        rolls and a group commit it matches the files and their replay."""
+        with SegmentedWalWriter(tmp_path, CONFIG, 1, segment_bytes=256) as writer:
+            writer.append([make_doc(f"a{i}", range(i, i + 5)) for i in range(3)])
+            writer.append([make_doc("b", [1, 2])])  # rolls first
+            writer.append([make_doc("c", [3])], sync=False)
+            writer.append([make_doc("d", [4])], sync=False)
+            assert (writer.committed_records, writer.total_records) == (4, 6)
+            buffered = writer.size_bytes
+            writer.sync()
+            assert writer.size_bytes == buffered
+            infos = writer.segment_infos()
+            infos[-1].records = 99  # a copy: the writer's extent is untouched
+            assert writer.committed_records == writer.total_records == 6
+            assert writer.records_appended == 6 and writer.sync_count == 6
+            assert writer.path == infos[-1].path
+            sizes = [(tmp_path / wal_segment_name(1, s)).stat().st_size for s in range(2)]
+            assert writer.size_bytes == sum(sizes)
+            extents = [
+                (i.segment, i.start_record, i.records, i.committed_bytes, i.data_offset)
+                for i in writer.segment_infos()
+            ]
+        replay = replay_wal_generation(tmp_path, 1, CONFIG)
+        assert extents == [
+            (i.segment, i.start_record, i.records, i.committed_bytes, i.data_offset)
+            for i in replay.segments
+        ]
+        assert [committed for _, _, _, committed, _ in extents] == sizes
+        assert replay.records == 6 and len(extents) == writer.segment_count
+
 
 class TestPinnedWalBytes:
     """The WAL's bytes and fsyncs, pinned: the digests and the count are
