@@ -8,6 +8,9 @@ accounting, and the conjunctive sequence-query semantics of the shared
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -237,6 +240,88 @@ class TestHowDeSbt:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             HowDeSbt(num_bits=0)
+
+
+#: Integer probe terms for the pinned fingerprints: the document pool is
+#: ``0..400`` so about a third of them are absent from every document.
+PINNED_TERMS = list(range(0, 600, 4))
+
+
+def _pinned_documents(count: int) -> list:
+    """*count* seeded code-array documents plus one string-term document."""
+    rng = np.random.default_rng(1000 + count)
+    documents = [
+        KmerDocument(
+            name=f"doc{i:02d}",
+            terms=rng.integers(0, 400, size=int(rng.integers(5, 60)), dtype=np.uint64),
+        )
+        for i in range(count)
+    ]
+    documents.append(KmerDocument(name="words", terms=frozenset({"alpha", "beta", "gamma"})))
+    return documents
+
+
+def _tree_fingerprint(index, conjunction: list) -> str:
+    """sha256 over every answer, probe count and size figure of *index*."""
+    rows = []
+    for term in PINNED_TERMS + ["alpha", "not-a-term"]:
+        result = index.query_term(term)
+        rows.append((sorted(result.documents), result.filters_probed))
+    result = index.query_terms(conjunction)
+    rows.append((sorted(result.documents), result.filters_probed))
+    rows.append(index.num_nodes())
+    if isinstance(index, SequenceBloomTree):
+        rows.append(index.height())
+    rows.append(index.size_in_bytes())
+    rows.append(index.document_names)
+    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+
+
+#: Fingerprints of the three tree baselines, keyed (class, K, num_hashes).
+PINNED_TREE_DIGESTS = {
+    ("SequenceBloomTree", 1, 1): "9471fc622f512c086c09830cd01181263522f6b22af237195be153369202104f",
+    ("SequenceBloomTree", 1, 3): "147efb772a8152bb3f7179dc3eb9efbc1ab0d5501922b123900b6db34755fdd0",
+    ("SequenceBloomTree", 2, 1): "eca38b8d12d11764dab2b38e06e137fd9dd5510c7f8a37381008b63fecbad084",
+    ("SequenceBloomTree", 2, 3): "f14f9892b7408fb235c0460d63b49226642bbed2e61cace139958f27525b5757",
+    ("SequenceBloomTree", 7, 1): "bb6e36b1c1d58e6c4d3e0cfffbde65e2df6a263e82be0e37d3e6415e0779784e",
+    ("SequenceBloomTree", 7, 3): "ae22b0f07dca8b15112d9582df73906a2ee52bf7ccee3d16a023fa4f39a9ff4e",
+    ("SequenceBloomTree", 33, 1): "2b5dbd82bde0f8ea1fbd86aef4ab1ad798e87224f9970828aaad22e3882bb339",
+    ("SequenceBloomTree", 33, 3): "b4302dc4585c100bf469f2ac34e18afe6c822e1bfaa5ddd0d886e4cc46f40453",
+    ("SplitSequenceBloomTree", 1, 1): "3fb4b04e9790f5999e5c0d86c9f6384c2d0c7e675f5f5fb6f10d5e3317ad65a0",
+    ("SplitSequenceBloomTree", 1, 3): "5157ce221b18cfcf9d5bd69a464eeed79dcb38da3b3ebeb62f924dd2e25df871",
+    ("SplitSequenceBloomTree", 2, 1): "8fc09ace1e876fed5a442152ce03569f7c08f485b5b6ea75f2a93b6dfe258508",
+    ("SplitSequenceBloomTree", 2, 3): "9948ed5f69159f5742144f6ee2d92dacc8a5b0037b5be3a8e1a5f900fff8e508",
+    ("SplitSequenceBloomTree", 7, 1): "ab8237ec688df8586c8d638954a32f7e3791d0695b29560fe8af3eae6696b953",
+    ("SplitSequenceBloomTree", 7, 3): "ac584221d8ed9a9a34186244deddbe4668cb9fc51bfa4a1702b8de1d134b4e1f",
+    ("SplitSequenceBloomTree", 33, 1): "35853a82e356b94e3655ff2408304310a4f3529fd20dbc3beba913019d69c6c9",
+    ("SplitSequenceBloomTree", 33, 3): "2b1869c3dc466153c206b59777f3dfbb23f0c9183d3eaa91b554babf12c4d8a9",
+    ("HowDeSbt", 1, 1): "3fb4b04e9790f5999e5c0d86c9f6384c2d0c7e675f5f5fb6f10d5e3317ad65a0",
+    ("HowDeSbt", 1, 3): "5157ce221b18cfcf9d5bd69a464eeed79dcb38da3b3ebeb62f924dd2e25df871",
+    ("HowDeSbt", 2, 1): "8fc09ace1e876fed5a442152ce03569f7c08f485b5b6ea75f2a93b6dfe258508",
+    ("HowDeSbt", 2, 3): "9948ed5f69159f5742144f6ee2d92dacc8a5b0037b5be3a8e1a5f900fff8e508",
+    ("HowDeSbt", 7, 1): "ab8237ec688df8586c8d638954a32f7e3791d0695b29560fe8af3eae6696b953",
+    ("HowDeSbt", 7, 3): "ac584221d8ed9a9a34186244deddbe4668cb9fc51bfa4a1702b8de1d134b4e1f",
+    ("HowDeSbt", 33, 1): "35853a82e356b94e3655ff2408304310a4f3529fd20dbc3beba913019d69c6c9",
+    ("HowDeSbt", 33, 3): "2b1869c3dc466153c206b59777f3dfbb23f0c9183d3eaa91b554babf12c4d8a9",
+}
+
+
+class TestPinnedTreeAnswers:
+    """The tree baselines' answers, probe counts and sizes, pinned bit for bit."""
+
+    @pytest.mark.parametrize("num_hashes", [1, 3])
+    @pytest.mark.parametrize("count", [1, 2, 7, 33])
+    @pytest.mark.parametrize(
+        "index_cls", [SequenceBloomTree, SplitSequenceBloomTree, HowDeSbt]
+    )
+    def test_fingerprint(self, index_cls, count, num_hashes):
+        index = index_cls(num_bits=2048, num_hashes=num_hashes, k=13, seed=5)
+        documents = _pinned_documents(count)
+        index.add_documents(documents)
+        # Three terms of the first document: a conjunction that matches it.
+        conjunction = [int(code) for code in documents[0].term_codes()[:3]]
+        digest = _tree_fingerprint(index, conjunction)
+        assert digest == PINNED_TREE_DIGESTS[(index_cls.__name__, count, num_hashes)]
 
 
 class TestInvertedIndex:
