@@ -28,7 +28,6 @@ from repro.core.folding import fold_rambo, fold_to_target
 from repro.core.parallel import merge_indexes
 from repro.core.serialization import load_index, open_index, save_index
 from repro.bloom import BloomFilter, ScalableBloomFilter
-from repro.sketch import CountMinSketch
 from repro.kmers import (
     KmerDocument,
     document_from_sequences,
@@ -63,7 +62,6 @@ __all__ = [
     "set_num_threads",
     "BloomFilter",
     "ScalableBloomFilter",
-    "CountMinSketch",
     "KmerDocument",
     "document_from_sequences",
     "extract_kmers",

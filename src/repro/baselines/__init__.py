@@ -4,10 +4,12 @@
   (one filter per document, queried row-wise across all documents).
 * :class:`SequenceBloomTree` — the SBT of Solomon & Kingsford: a binary tree
   of Bloom filters where each internal node is the union of its children.
-* :class:`SplitSequenceBloomTree` — SSBT: each node stores a *similarity*
-  (all-children) filter and a *remainder* filter, enabling early pruning.
-* :class:`HowDeSbt` — HowDeSBT: *determined*/*how* bit-vectors per node, the
-  state of the art among the tree methods the paper benchmarks.
+* :class:`SplitSequenceBloomTree` (SSBT) and :class:`HowDeSbt` (HowDeSBT) —
+  one split tree storing which bits each node's leaves all share and which
+  they disagree on, so a probe position resolves or prunes a whole subtree;
+  the two differ only in their default hash count and the order their node
+  test reads the two vectors.  All three trees live in ``trees.py`` on one
+  shared base.
 * :class:`InvertedIndex` — exact term → documents mapping; the ground truth
   every false-positive measurement is computed against.
 
@@ -16,10 +18,8 @@ experiment harness and the benchmarks drive them interchangeably with RAMBO.
 """
 
 from repro.baselines.cobs import CobsIndex
-from repro.baselines.sbt import SequenceBloomTree
-from repro.baselines.ssbt import SplitSequenceBloomTree
-from repro.baselines.howdesbt import HowDeSbt
 from repro.baselines.inverted_index import InvertedIndex
+from repro.baselines.trees import HowDeSbt, SequenceBloomTree, SplitSequenceBloomTree
 
 __all__ = [
     "CobsIndex",

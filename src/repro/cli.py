@@ -817,12 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--verbose", action="store_true", help="log every HTTP request to stderr"
     )
-    serve.add_argument(
-        "--threads", type=int, default=None, metavar="N",
-        help="executor thread count inside the server (default: REPRO_THREADS, "
-             "else all cores); kept for compatibility — a RAMBO batch query "
-             "runs on its request's tick thread",
-    )
     serve.set_defaults(func=_cmd_serve)
 
     ingest = sub.add_parser(

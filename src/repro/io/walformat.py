@@ -227,6 +227,8 @@ def _read_header(handle: BinaryIO, path: Path) -> Tuple[Dict, int]:
         header = json.loads(handle.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WalFormatError(f"{path} has a corrupt WAL header") from exc
+    if not isinstance(header, dict):
+        raise WalFormatError(f"{path} WAL header is not a JSON object")
     version = header.get("format_version")
     if version != WAL_VERSION:
         raise WalFormatError(
@@ -425,8 +427,9 @@ def replay_wal_generation(
     A torn tail is legal only in the **last** segment — a crash can only
     tear the segment being written, and a new segment is opened only after
     its predecessor's final batch committed.  Torn damage in any earlier
-    segment, or a segment whose pinned ``segment``/``start_record`` header
-    disagrees with its position, raises :class:`WalFormatError`.
+    segment, or a segment whose pinned ``generation``/``segment``/
+    ``start_record`` header disagrees with its position, raises
+    :class:`WalFormatError`.
     """
     paths = wal_segment_paths(directory, generation)
     if not paths:
@@ -436,6 +439,11 @@ def replay_wal_generation(
         header, info, documents, torn_bytes, torn_reason = _replay_segment(
             path, expected_config
         )
+        if header["generation"] != generation:
+            raise WalFormatError(
+                f"{path} pins generation {header['generation']!r} but is "
+                f"replayed as generation {generation}"
+            )
         if info.segment != position:
             raise WalFormatError(
                 f"{path} pins segment index {info.segment} but sits at "

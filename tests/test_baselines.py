@@ -165,8 +165,10 @@ class TestSequenceBloomTree:
         assert index.num_bits > 0
 
     def test_invalid_construction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="num_bits"):
             SequenceBloomTree(num_bits=0)
+        with pytest.raises(ValueError, match="num_hashes"):
+            SequenceBloomTree(num_bits=8, num_hashes=0)
 
 
 class TestSplitSequenceBloomTree:
@@ -201,8 +203,10 @@ class TestSplitSequenceBloomTree:
         assert "doc_d" in index.query_term("zeta").documents
 
     def test_invalid_construction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="num_bits"):
             SplitSequenceBloomTree(num_bits=0)
+        with pytest.raises(ValueError, match="num_hashes"):
+            SplitSequenceBloomTree(num_bits=8, num_hashes=0)
 
 
 class TestHowDeSbt:
@@ -238,8 +242,10 @@ class TestHowDeSbt:
         assert index.num_nodes() >= len(tiny_documents)
 
     def test_invalid_construction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="num_bits"):
             HowDeSbt(num_bits=0)
+        with pytest.raises(ValueError, match="num_hashes"):
+            HowDeSbt(num_bits=8, num_hashes=0)
 
 
 #: Integer probe terms for the pinned fingerprints: the document pool is

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.io.fasta import FastaRecord, write_fasta
 from repro.io.fastq import FastqRecord, write_fastq
 from repro.io.mccortex import write_mccortex
@@ -374,6 +374,11 @@ class TestThreads:
     def test_threads_must_be_positive(self, built_index_path, probe_kmer):
         with pytest.raises(SystemExit, match="--threads must be >= 1"):
             main(["query", str(built_index_path), probe_kmer, "--threads", "0"])
+
+    def test_serve_takes_no_threads_option(self):
+        # A served query never reaches the executor, so serve has no --threads.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "index.rambo2", "--threads", "2"])
 
 
 class TestInfoAndFold:

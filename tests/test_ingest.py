@@ -356,6 +356,8 @@ class TestWalFormat:
             ("prelude", "truncated inside the segment prelude"),
             ("version", "unsupported WAL version 2"),
             ("no-generation", "missing config/generation"),
+            ("not-an-object", "header is not a JSON object"),
+            ("generation", "pins generation 1 but is replayed as generation 0"),
             ("sealed-torn", "cannot tear a sealed segment"),
             ("segment", "pins segment index 2 but sits at position 1"),
             ("start-record", "pins start_record 5 but 1 records precede it"),
@@ -386,6 +388,12 @@ class TestWalFormat:
             rewrite_header(first, format_version=2)
         elif damage == "no-generation":
             rewrite_header(first, generation=None)
+        elif damage == "not-an-object":
+            data = first.read_bytes()
+            length = int.from_bytes(data[8:16], "little")
+            first.write_bytes(data[:8] + (3).to_bytes(8, "little") + b"[1]" + data[16 + length :])
+        elif damage == "generation":
+            rewrite_header(first, generation=1)
         elif damage == "sealed-torn":
             first.write_bytes(first.read_bytes()[:-1])
         elif damage == "segment":

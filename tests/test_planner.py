@@ -25,11 +25,13 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from hypothesis_profiles import tier
-from repro.baselines.cobs import CobsIndex
-from repro.baselines.howdesbt import HowDeSbt
-from repro.baselines.inverted_index import InvertedIndex
-from repro.baselines.sbt import SequenceBloomTree
-from repro.baselines.ssbt import SplitSequenceBloomTree
+from repro.baselines import (
+    CobsIndex,
+    HowDeSbt,
+    InvertedIndex,
+    SequenceBloomTree,
+    SplitSequenceBloomTree,
+)
 from repro.core.base import QUERY_METHODS, check_query_method
 from repro.core.parallel import merge_indexes
 from repro.core.rambo import Rambo, RamboConfig
