@@ -10,9 +10,6 @@ Choices") so the trade-offs are measurable in this implementation:
   number of repetitions, Theorem 4.3's knob.
 * **RAMBO+ pruning** — how many probes the sparse evaluation saves as R grows
   (it can only help when R > 1, and helps more the more repetitions there are).
-* **Scalable vs fixed BFU** — the memory/accuracy effect of replacing the
-  pre-sized BFU with the scalable Bloom filter the paper cites for unknown
-  cardinalities.
 * **Query-cache effect** — the vectorised all-B membership check vs probing
   BFU objects one by one (the implementation trick that keeps pure-Python
   query times sub-linear in practice).
@@ -29,8 +26,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.bloom.bloom_filter import BloomFilter
-from repro.bloom.scalable import ScalableBloomFilter
 from repro.core.rambo import Rambo, RamboConfig
 from repro.simulate.datasets import ENADatasetBuilder, build_query_workload
 
@@ -177,35 +172,6 @@ def test_ablation_sparse_evaluation_savings(benchmark, ablation_data):
         assert row["sparse_probes"] <= row["full_probes"]
     fractions = [savings[f"R={r}"]["saved_fraction"] for r in (2, 4, 6)]
     assert fractions[-1] >= fractions[0]
-
-
-@pytest.mark.benchmark(group="ablation-bfu")
-def test_ablation_scalable_vs_fixed_bfu(benchmark, ablation_data):
-    """The scalable Bloom filter option trades memory for not needing pooling.
-
-    The paper sizes BFUs from a pooled cardinality estimate; the cited
-    alternative (scalable Bloom filters) needs no estimate but pays extra
-    stages.  Both must preserve zero false negatives; the scalable variant is
-    expected to cost more memory per inserted key at the same FP target.
-    """
-    dataset, _ = ablation_data
-    terms = [term for doc in dataset.documents[:20] for term in list(doc.terms)[:200]]
-
-    def compare():
-        fixed = BloomFilter.for_capacity(len(terms), fp_rate=0.01, seed=37)
-        scalable = ScalableBloomFilter(initial_capacity=256, fp_rate=0.01, seed=37)
-        fixed.update(terms)
-        scalable.update(terms)
-        assert all(term in fixed for term in terms)
-        assert all(term in scalable for term in terms)
-        return {
-            "fixed": {"size_bytes": float(fixed.size_in_bytes())},
-            "scalable": {"size_bytes": float(scalable.size_in_bytes())},
-        }
-
-    rows = benchmark.pedantic(compare, rounds=1, iterations=1)
-    print_table("Ablation: fixed (pooled) vs scalable BFU", rows)
-    assert rows["scalable"]["size_bytes"] >= rows["fixed"]["size_bytes"] * 0.5
 
 
 @pytest.mark.benchmark(group="ablation-query-path")

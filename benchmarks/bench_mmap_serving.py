@@ -6,10 +6,10 @@ into fresh in-memory arrays pays the full payload read (and holds the data
 twice) before the first answer.  This bench gates the two properties the
 mmap container exists for:
 
-* **Open time**: ``Rambo.open_mmap`` reads only the header and maps the
+* **Open time**: ``open_index`` reads only the header and maps the
   payload lazily, so it must open the default corpus at least **10x faster**
   than a ``pickle`` load of the same index (the eager-deserialisation
-  baseline; the v1 ``load_index`` time is reported alongside).
+  baseline).
 * **Parity**: every query answered from the mapped file must be
   *bit-identical* to the in-memory index — same doc-id arrays, same probe
   accounting — for the full and sparse engines, batch and conjunctive.
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.rambo import Rambo, RamboConfig
-from repro.core.serialization import load_index, save_index
+from repro.core.serialization import open_index, save_index
 from repro.simulate.datasets import ENADatasetBuilder, build_query_workload
 from repro.utils.timing import Timer
 
@@ -47,7 +47,7 @@ TIMING_ROUNDS = 3
 
 @pytest.fixture(scope="module")
 def serving_setup(tmp_path_factory):
-    """A built index, its query workload, and all three on-disk artifacts."""
+    """A built index, its query workload, and both on-disk artifacts."""
     builder = ENADatasetBuilder(k=BENCH_K, genome_length=1_200, seed=11)
     base = builder.build(NUM_DOCUMENTS, file_format="mccortex")
     dataset, workload = build_query_workload(
@@ -59,13 +59,11 @@ def serving_setup(tmp_path_factory):
     directory = tmp_path_factory.mktemp("serving")
     paths = {
         "pickle": directory / "index.pickle",
-        "v1": directory / "index.rambo",
         "mmap": directory / "index.rambo2",
     }
     with open(paths["pickle"], "wb") as handle:
         pickle.dump(index, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    save_index(index, paths["v1"])
-    index.save_mmap(paths["mmap"])
+    save_index(index, paths["mmap"])
     return index, workload, paths
 
 
@@ -80,29 +78,27 @@ def _min_seconds(action, rounds: int = TIMING_ROUNDS) -> float:
 
 @pytest.mark.benchmark(group="mmap-serving-open")
 def test_open_mmap_vs_pickle_load(benchmark, serving_setup):
-    """``open_mmap`` must beat an eager pickle load by >= 10x on open time."""
+    """``open_index`` must beat an eager pickle load by >= 10x on open time."""
     _, _, paths = serving_setup
 
     def measure():
         pickle_s = _min_seconds(lambda: pickle.load(open(paths["pickle"], "rb")))
-        v1_s = _min_seconds(lambda: load_index(paths["v1"]))
-        mmap_s = _min_seconds(lambda: Rambo.open_mmap(paths["mmap"]))
-        return pickle_s, v1_s, mmap_s
+        mmap_s = _min_seconds(lambda: open_index(paths["mmap"]))
+        return pickle_s, mmap_s
 
-    pickle_s, v1_s, mmap_s = benchmark.pedantic(measure, rounds=1, iterations=1)
+    pickle_s, mmap_s = benchmark.pedantic(measure, rounds=1, iterations=1)
     speedup = pickle_s / max(mmap_s, 1e-9)
     print_table(
         f"mmap serving (open wall-clock seconds, {NUM_DOCUMENTS} files, "
         f"{CONFIG.num_partitions * CONFIG.repetitions * CONFIG.bfu_bits // 8:,} payload bytes)",
         {
             "pickle": {"open_s": pickle_s},
-            "v1_load": {"open_s": v1_s},
             "mmap_open": {"open_s": mmap_s, "vs_pickle": speedup},
         },
     )
     if not BENCH_SMOKE:
         assert speedup >= 10.0, (
-            f"open_mmap speedup {speedup:.1f}x below the 10x gate "
+            f"open_index speedup {speedup:.1f}x below the 10x gate "
             f"(pickle {pickle_s:.4f}s vs mmap {mmap_s:.4f}s)"
         )
 
@@ -114,7 +110,7 @@ def test_mapped_queries_bit_identical(benchmark, serving_setup):
     terms = workload.all_terms
 
     def compare():
-        mapped = Rambo.open_mmap(paths["mmap"])
+        mapped = open_index(paths["mmap"])
         mismatches = 0
         for method in ("full", "sparse"):
             expected = index.query_terms_batch(terms, method=method)
@@ -146,7 +142,7 @@ def test_mapped_query_throughput(benchmark, serving_setup):
     terms = workload.all_terms
 
     def measure():
-        mapped = Rambo.open_mmap(paths["mmap"])
+        mapped = open_index(paths["mmap"])
         mapped.query_terms_batch(terms)  # warm the mapping + caches
         index.query_terms_batch(terms)
         mapped_s = _min_seconds(lambda: mapped.query_terms_batch(terms))

@@ -71,7 +71,7 @@ def _primary_stack(tmp_path, base_docs, **engine_kwargs):
     base = Rambo(CONFIG)
     base.add_documents(list(base_docs))
     base_path = tmp_path / "base.rambo2"
-    save_index(base, base_path, format="mmap")
+    save_index(base, base_path)
     service = QueryService.open(base_path, tick_seconds=0.0)
     engine = IngestEngine(service, tmp_path / "wal", **engine_kwargs)
     service.attach_ingest(engine)

@@ -16,8 +16,8 @@ This example:
 2. simulates a week of new submissions arriving in daily batches, measuring
    the per-document update cost of RAMBO's batched insert vs a rebuilt
    HowDeSBT,
-3. saves the updated index, reloads it, and verifies queries see both the old
-   and the newly streamed documents.
+3. saves the updated index, reopens it (memory-mapped), and verifies queries
+   see both the old and the newly streamed documents.
 
 Run with::
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro import HowDeSbt, Rambo, load_index, save_index
+from repro import HowDeSbt, Rambo, open_index, save_index
 from repro.core.config import configure_from_sample
 from repro.kmers.extraction import document_from_sequences
 from repro.simulate.genomes import GenomeSimulator
@@ -93,12 +93,14 @@ def main() -> None:
         # ------------------------------------------------------ persist + reload
         updated = Path(tmp) / "archive-v2.rambo"
         save_index(rambo, updated)
-        reloaded = load_index(updated)
+        reloaded = open_index(updated)
 
-    old_term = next(iter(initial[0].terms))
-    new_term = next(iter(arriving[-1].terms))
-    old_hits = reloaded.query_term(old_term).documents
-    new_hits = reloaded.query_term(new_term).documents
+        # The reopened index serves from the file, so query it before the
+        # temporary directory goes away.
+        old_term = next(iter(initial[0].terms))
+        new_term = next(iter(arriving[-1].terms))
+        old_hits = reloaded.query_term(old_term).documents
+        new_hits = reloaded.query_term(new_term).documents
     print(f"\nafter reload: {reloaded.num_documents} documents")
     print(f"  query for an original document's k-mer -> {sorted(old_hits)[:3]}...")
     print(f"  query for a streamed document's k-mer  -> {sorted(new_hits)[:3]}...")

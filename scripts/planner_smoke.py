@@ -68,7 +68,7 @@ def build_corpus(directory: Path):
         }
     )
     path = directory / "planned.rambo2"
-    save_index(index, path, format="mmap", metadata=metadata)
+    save_index(index, path, metadata=metadata)
     codes = [int(term) for term in workload.all_terms]
     return index, metadata, path, codes
 

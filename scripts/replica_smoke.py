@@ -207,7 +207,7 @@ def main() -> int:
         base = Rambo(CONFIG)
         base.add_documents(base_docs)
         base_path = directory / "base.rambo2"
-        save_index(base, base_path, format="mmap")
+        save_index(base, base_path)
         primary_wal = directory / "primary-wal"
         standby_wal = directory / "standby-wal"
 

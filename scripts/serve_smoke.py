@@ -67,12 +67,12 @@ def build_corpus(directory: Path):
     index = Rambo(CONFIG)
     index.add_documents(dataset.documents)
     first = directory / "gen1.rambo2"
-    save_index(index, first, format="mmap")
+    save_index(index, first)
 
     rebuilt = Rambo(CONFIG)
     rebuilt.add_documents(dataset.documents)
     second = directory / "gen2.rambo2"
-    save_index(rebuilt, second, format="mmap")
+    save_index(rebuilt, second)
 
     # Mixed pool: integer codes plus the same codes as DNA words, so the
     # server-side normalisation path is exercised too.

@@ -26,8 +26,8 @@ from repro.core.rambo import Rambo, RamboConfig
 from repro.core.distributed import DistributedRambo, stack_shards
 from repro.core.folding import fold_rambo, fold_to_target
 from repro.core.parallel import merge_indexes
-from repro.core.serialization import load_index, open_index, save_index
-from repro.bloom import BloomFilter, ScalableBloomFilter
+from repro.core.serialization import open_index, save_index
+from repro.bloom import BloomFilter
 from repro.kmers import (
     KmerDocument,
     document_from_sequences,
@@ -54,14 +54,12 @@ __all__ = [
     "fold_rambo",
     "fold_to_target",
     "merge_indexes",
-    "load_index",
     "open_index",
     "save_index",
     "get_num_threads",
     "num_threads",
     "set_num_threads",
     "BloomFilter",
-    "ScalableBloomFilter",
     "KmerDocument",
     "document_from_sequences",
     "extract_kmers",

@@ -222,7 +222,7 @@ class BitArray:
         """Whether the backing words may be mutated.
 
         False for arrays wrapping a read-only view — most notably the
-        ``np.memmap`` payload of an index opened with ``open_mmap`` in
+        ``np.memmap`` payload of an index opened with ``open_index`` in
         read-only mode.  Every mutating method checks this first and raises
         :class:`ValueError` instead of numpy's opaque buffer error.
         """

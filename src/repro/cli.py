@@ -5,16 +5,16 @@ sequence files; this CLI mirrors that workflow on top of the library:
 
 ``repro-rambo build``
     Index a directory of ``.fasta`` / ``.fastq`` / ``.mcc`` (McCortex-lite)
-    files into a serialized RAMBO index.  Documents stream through the
-    batched insert pipeline in bounded-memory chunks (``--batch-size``);
-    ``--format mmap`` writes the zero-copy serving container instead of the
-    load-into-memory v1 format.
+    files into a RAMBO index in the zero-copy ``RAMBO2`` container.
+    Documents stream through the batched insert pipeline in bounded-memory
+    chunks (``--batch-size``).
 
 ``repro-rambo query``
-    Open an index (auto-detecting v1 vs mmap format) and query any number
-    of terms and/or sequences in one invocation; prints one line per query
-    with the matching document names.  All terms are answered through the
-    vectorised batch engine; mmap indexes are probed directly in the file.
+    Open an index and query any number of terms and/or sequences in one
+    invocation; prints one line per query with the matching document
+    names.  All terms are answered through the vectorised batch engine,
+    probing the mapped file directly (a file of the retired v1 container
+    is read into memory instead).
 
 ``repro-rambo info``
     Print the configuration, size breakdown and fill statistics of an index;
@@ -22,7 +22,8 @@ sequence files; this CLI mirrors that workflow on top of the library:
     serve command's ``/stats`` endpoint embeds).
 
 ``repro-rambo fold``
-    Load an index, fold it over N times and write the smaller index back out.
+    Open an index, fold it over N times and write the smaller index out as
+    ``RAMBO2`` (so folding a v1 file also converts it).
 
 ``repro-rambo serve``
     Hold an index open and answer concurrent clients over JSON/HTTP: many
@@ -67,7 +68,6 @@ from repro.core.executor import get_num_threads, num_threads
 from repro.core.folding import fold_rambo
 from repro.core.rambo import Rambo, RamboConfig
 from repro.core.serialization import describe_index, open_index, save_index
-from repro.io.diskformat import detect_format
 from repro.io.fasta import read_fasta
 from repro.io.fastq import read_fastq
 from repro.io.mccortex import read_mccortex
@@ -192,11 +192,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         f"bfu_bits={config.bfu_bits} eta={config.bfu_hashes} k={config.k}"
     )
     metadata = _load_metadata_file(args.metadata) if args.metadata else None
-    written = save_index(index, args.output, format=args.format, metadata=metadata)
-    print(
-        f"built in {build_seconds:.2f}s, wrote {human_bytes(written)} to {args.output} "
-        f"({args.format} format)"
-    )
+    written = save_index(index, args.output, metadata=metadata)
+    print(f"built in {build_seconds:.2f}s, wrote {human_bytes(written)} to {args.output}")
     if metadata is not None:
         covered = sum(1 for name in index.document_names if name in metadata)
         print(
@@ -629,13 +626,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_fold(args: argparse.Namespace) -> int:
-    # The folded copy is written back in the input's format (folding a
-    # mapped index materialises in-memory BFUs, so both outputs are legal).
-    file_format = detect_format(args.index)
     index = open_index(args.index)
     before = index.size_in_bytes()
     folded = fold_rambo(index, args.folds)
-    written = save_index(folded, args.output, format=file_format)
+    written = save_index(folded, args.output)
     print(
         f"folded {args.folds}x: B {index.num_partitions} -> {folded.num_partitions}, "
         f"size {human_bytes(before)} -> {human_bytes(folded.size_in_bytes())}, "
@@ -687,12 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=None, metavar="N",
         help="worker threads for construction (default: REPRO_THREADS, else "
              "all cores); the built index is bit-identical for every N",
-    )
-    build.add_argument(
-        "--format", choices=("v1", "mmap"), default="v1",
-        help="index file format: v1 loads fully into memory on open; mmap "
-             "serves queries zero-copy via memory mapping (default v1). "
-             "'query' and 'info' auto-detect the format.",
     )
     build.set_defaults(func=_cmd_build)
 

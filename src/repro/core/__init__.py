@@ -31,14 +31,7 @@ from repro.core.rambo import Rambo, RamboConfig
 from repro.core.folding import fold_rambo, fold_to_target
 from repro.core.distributed import DistributedRambo, stack_shards
 from repro.core.parallel import merge_indexes
-from repro.core.serialization import (
-    describe_index,
-    load_index,
-    open_index,
-    open_index_mmap,
-    save_index,
-    save_index_mmap,
-)
+from repro.core.serialization import describe_index, open_index, save_index
 from repro.core.tuning import CollectionProfile, TuningResult, tune_for_fp_rate, tune_for_memory
 from repro.core import analysis, config
 
@@ -60,11 +53,8 @@ __all__ = [
     "stack_shards",
     "merge_indexes",
     "describe_index",
-    "load_index",
     "open_index",
-    "open_index_mmap",
     "save_index",
-    "save_index_mmap",
     "CollectionProfile",
     "TuningResult",
     "tune_for_fp_rate",

@@ -34,6 +34,7 @@ from repro.core.base import (
 )
 from repro.core.executor import parallel_map
 from repro.core.rambo import Rambo, RamboConfig
+from repro.core.serialization import open_index, save_index
 from repro.hashing.universal import PartitionHashFamily, TwoLevelPartitionHash
 from repro.kmers.extraction import KmerDocument
 
@@ -272,8 +273,8 @@ class DistributedRambo(MembershipIndex):
 
         *directory* receives ``manifest.json`` (cluster geometry and the
         global document order) and ``shard-NNNN.rambo`` — each node's RAMBO
-        in the zero-copy v2 container, written with
-        :meth:`repro.core.rambo.Rambo.save_mmap`.  One file per node mirrors
+        in the zero-copy ``RAMBO2`` container, written with
+        :func:`repro.core.serialization.save_index`.  One file per node mirrors
         the paper's deployment: every query node maps only the shards it
         hosts.  Returns the total number of bytes written.
         """
@@ -290,7 +291,7 @@ class DistributedRambo(MembershipIndex):
         manifest_path.write_text(json.dumps(manifest, separators=(",", ":")))
         total = manifest_path.stat().st_size
         for node, shard in enumerate(self._shards):
-            total += shard.save_mmap(directory / f"shard-{node:04d}.rambo")
+            total += save_index(shard, directory / f"shard-{node:04d}.rambo")
         return total
 
     @classmethod
@@ -331,7 +332,7 @@ class DistributedRambo(MembershipIndex):
             seed=node_config.seed,
         )
         cluster._shards = [
-            Rambo.open_mmap(directory / f"shard-{node:04d}.rambo", mode=mode)
+            open_index(directory / f"shard-{node:04d}.rambo", mode=mode)
             for node in range(num_nodes)
         ]
         cluster._doc_names = list(manifest["document_names"])

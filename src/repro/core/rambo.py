@@ -366,7 +366,7 @@ class Rambo(MembershipIndex):
 
     @property
     def readonly(self) -> bool:
-        """True for an index opened with ``open_mmap(..., mode="r")``.
+        """True for an index opened with ``open_index(..., mode="r")``.
 
         Read-only indexes answer every query but reject mutation
         (:meth:`add_document` and friends) with a clean :class:`ValueError`
@@ -380,8 +380,7 @@ class Rambo(MembershipIndex):
         if self.readonly:
             raise ValueError(
                 "index is memory-mapped read-only; reopen with "
-                "open_mmap(path, mode='c') for copy-on-write mutation, or "
-                "load_index() a v1 file for a fully in-memory index"
+                "open_index(path, mode='c') for copy-on-write mutation"
             )
 
     def _partition_of(self, name: str, repetition: int) -> int:
@@ -939,37 +938,6 @@ class Rambo(MembershipIndex):
             family=self._family,
             items=self._items[:, :half] + self._items[:, half:],
         )
-
-    # -- persistence --------------------------------------------------------------------
-
-    def save_mmap(self, path) -> int:
-        """Write the index in the zero-copy serving format (v2 container).
-
-        The BFU backing words are laid out contiguously so a later
-        :meth:`open_mmap` can serve queries straight from the file via
-        ``np.memmap``.  Returns the number of bytes written.  See
-        :mod:`repro.io.diskformat` for the byte-level layout.
-        """
-        from repro.core.serialization import save_index_mmap
-
-        return save_index_mmap(self, path)
-
-    @classmethod
-    def open_mmap(cls, path, mode: str = "r") -> "Rambo":
-        """Open an index written by :meth:`save_mmap` without loading it.
-
-        Only the header is read; bitmap pages are mapped lazily, so opening
-        is O(metadata) and the first probe of a BFU is what pages its words
-        in.  With ``mode="r"`` (default) the index is read-only and mutation
-        raises cleanly; ``mode="c"`` maps copy-on-write (mutations stay in
-        memory, the file is never modified).
-
-        Raises :class:`repro.io.diskformat.DiskFormatError` on malformed,
-        truncated or version-mismatched files.
-        """
-        from repro.core.serialization import open_index_mmap
-
-        return open_index_mmap(path, mode=mode)
 
     # -- accounting ------------------------------------------------------------------------
 

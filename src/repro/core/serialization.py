@@ -1,4 +1,4 @@
-"""Index persistence: save a built RAMBO index to disk and load it back.
+"""Index persistence: save a built RAMBO index to disk and open it back.
 
 The paper's workflow is build-once / query-many: the 170TB archive is indexed
 offline (Section 5.3) and the resulting 1.8TB structure is what gets shipped
@@ -6,27 +6,21 @@ to query nodes, possibly after fold-over.  That only works if the index can be
 serialized without losing the properties that make merging and folding legal —
 the hash seeds, the BFU geometry and the bucket → document mapping.
 
-Two on-disk formats share one logical header (config, document names,
-per-repetition assignments) and one payload: the index's ``R`` bit planes,
-byte for byte, in ``(repetition, partition)`` order:
+:func:`save_index` writes one container, ``RAMBO2``
+(:mod:`repro.io.diskformat`): a JSON header (config, document names,
+per-repetition assignments) and the index's ``R`` bit planes as one
+contiguous ``(repetitions, partitions, words)`` block, which
+:func:`open_index` maps with ``np.memmap`` instead of reading.  Opening
+costs one header read; the batched query engine then probes the file
+zero-copy, paging in only the words a query touches.  Mapped indexes are
+read-only by default (mutation raises cleanly); ``mode="c"`` gives
+copy-on-write semantics for scratch experiments.
 
-**v1** (``RAMBO1`` magic): a JSON header prefixed by its byte length,
-followed by the raw little-endian ``uint64`` words of every BFU in
-``(repetition, partition)`` order.  :func:`load_index` reads the whole
-payload into process memory — simple, portable, and the right choice for
-indexes that will keep growing after the load.
-
-**mmap / v2** (``RAMBO2`` magic, :mod:`repro.io.diskformat`): the same
-metadata, but the BFU words are laid out as one contiguous
-``(repetitions, partitions, words)`` block that :func:`open_index_mmap` maps
-with ``np.memmap`` instead of reading.  Opening costs one header read; the
-batched query engine then probes the file zero-copy, paging in only the
-words a query touches.  Mapped indexes are read-only by default (mutation
-raises cleanly); ``mode="c"`` gives copy-on-write semantics for scratch
-experiments.
-
-:func:`open_index` dispatches on the magic so callers — the CLI in
-particular — need not know which format a file uses.
+Files of the retired v1 container (``RAMBO1`` magic: a length-prefixed JSON
+header followed by the same planes) still open: :func:`open_index`
+dispatches on the magic and reads them fully into memory, with every
+integrity check they always had.  Re-saving one (or ``repro-rambo fold``)
+converts it.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ import numpy as np
 
 from repro.core.rambo import Rambo, RamboConfig
 from repro.io.diskformat import (
-    MAGIC_V2,
+    MAGIC_V1,
     DiskFormatError,
     detect_format,
     map_container_payload,
@@ -49,18 +43,10 @@ from repro.io.diskformat import (
 
 PathLike = Union[str, Path]
 
-_MAGIC = b"RAMBO1\n"
-
-#: Formats accepted by :func:`save_index`'s ``format`` parameter.
-SAVE_FORMATS = ("v1", "mmap")
-
 
 def _index_header(index: Rambo) -> Dict:
-    """The logical header shared by both on-disk formats.
-
-    Carries the config, the document-name table and the per-repetition
-    partition assignments.
-    """
+    """The index's container header: the config, the document-name table
+    and the per-repetition partition assignments."""
     config = index.config
     return {
         "config": config.to_dict(),
@@ -68,6 +54,7 @@ def _index_header(index: Rambo) -> Dict:
         "document_names": index.names,
         "assignments": index.assignments,
         "custom_partition_family": not _uses_default_family(index),
+        "kind": "rambo",
     }
 
 
@@ -88,7 +75,7 @@ def _restore_bookkeeping(
 
     Raises :class:`ValueError` on inconsistent assignment tables or
     out-of-range partition ids — the header-side integrity checks shared by
-    the v1 loader and the mmap opener.
+    the v1 reader and the container opener.
     """
     config = RamboConfig.from_dict(header["config"])
     names = header["document_names"]
@@ -103,76 +90,102 @@ def _restore_bookkeeping(
     return config, names, assignments
 
 
-def save_index(index: Rambo, path: PathLike, format: str = "v1", metadata=None) -> int:
-    """Serialise *index* to *path*; returns the number of bytes written.
+def save_index(index: Rambo, path: PathLike, format: str = "mmap", metadata=None) -> int:
+    """Write *index* to *path* in the ``RAMBO2`` container; returns its size.
+
+    The planes are written back to back as one contiguous
+    ``(repetitions, partitions, words_per_bfu)`` block — streamed plane by
+    plane, so a save allocates nothing the size of the index — and
+    :func:`open_index` serves straight from the mapping.
 
     Parameters
     ----------
     format:
-        ``"v1"`` writes the self-contained load-into-memory format;
-        ``"mmap"`` delegates to :func:`save_index_mmap` for the zero-copy
-        serving container.
+        ``"mmap"``, the only container written; kept so callers that name
+        it keep working.  Anything else raises :class:`ValueError`.
     metadata:
         Optional :class:`repro.meta.MetadataStore`; written as a JSON
         sidecar next to the artifact (``<path>.meta.json``) and referenced
         from the header's ``metadata_sidecar`` field.  Readers predating
-        the field ignore it (both container formats tolerate unknown
-        header keys), so the extension is backward-compatible.
+        the field ignore it, so the extension is backward-compatible.
 
-    The partition hash family is reconstructed from the stored seed on load,
+    The partition hash family is reconstructed from the stored seed on open,
     so only indexes built with the default (seed-derived) family round-trip
     exactly.  Stacked indexes built from a distributed run carry a composed
     two-level family; they serialise fine for querying but new insertions
-    after a load will use the seed-derived family, so a warning-grade note is
-    recorded in the header.
-
-    Raises :class:`ValueError` for an unknown *format*.
+    after an open will use the seed-derived family, so a warning-grade note
+    is recorded in the header.
     """
-    if format not in SAVE_FORMATS:
-        raise ValueError(f"unknown index format {format!r} (expected one of {SAVE_FORMATS})")
-    sidecar_name = None
+    if format != "mmap":
+        raise ValueError(
+            f"unknown index format {format!r}: save_index writes only 'mmap' "
+            "(RAMBO2); v1 files still open through open_index"
+        )
+    header = _index_header(index)
     if metadata is not None:
-        sidecar_name = metadata.save_for(path).name
-    if format == "mmap":
-        return save_index_mmap(index, path, sidecar_name=sidecar_name)
-    header = dict(_index_header(index))
-    header["format_version"] = 1
-    if sidecar_name is not None:
-        header["metadata_sidecar"] = sidecar_name
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-
-    planes = _own_planes(index)
-    path = Path(path)
-    with open(path, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(len(header_bytes).to_bytes(8, "little"))
-        handle.write(header_bytes)
-        # tofile writes through the fd, so flush the buffered prelude first.
-        handle.flush()
-        for plane in planes:
-            plane.tofile(handle)
-    return path.stat().st_size
+        header["metadata_sidecar"] = metadata.save_for(path).name
+    return write_container(path, header, _own_planes(index))
 
 
-def load_index(path: PathLike) -> Rambo:
-    """Load a v1 index previously written by :func:`save_index` into memory.
+def open_index(path: PathLike, mode: str = "r") -> Rambo:
+    """Open an index written by :func:`save_index`, mapping its payload.
 
-    Raises :class:`ValueError` on wrong magic, version, a header length that
-    runs past the end of the file, or truncated payloads; a v2 (mmap) file
-    is rejected with a pointer to :func:`open_index` /
-    :func:`open_index_mmap`.
+    Only the header is read; the per-repetition ``(partitions, words)``
+    slices of one shared ``np.memmap`` become the index's planes, so
+    ``probe_words_batch`` / ``query_terms_batch`` gather straight from the
+    page cache.  A file of the retired v1 container is recognised by its
+    magic and read fully into memory (always writable, *mode* ignored).
+
+    Parameters
+    ----------
+    mode:
+        ``"r"`` (default) serves read-only — any mutation (``add_document``,
+        in-place bit algebra) raises a clean :class:`ValueError`.  ``"c"``
+        maps copy-on-write: mutation succeeds in anonymous memory and is
+        never written back to the file.
+
+    Raises
+    ------
+    DiskFormatError
+        On bad magic, version mismatch, corrupt header, or a payload whose
+        size disagrees with the header (truncation / trailing data).
+    ValueError
+        If the header geometry does not match the payload shape, or a v1
+        file fails one of its checks.
     """
     path = Path(path)
+    if detect_format(path) == "v1":
+        return _read_v1(path)
+    header, payload_offset = read_container_header(path)
+    if header.get("kind", "rambo") != "rambo":
+        raise DiskFormatError(
+            f"{path} holds a {header.get('kind')!r} index, not a RAMBO index"
+        )
+    config, names, assignments = _restore_bookkeeping(header, path)
+    expected_shape = (config.repetitions, config.num_partitions, config.words_per_bfu)
+    shape = tuple(header["payload"]["shape"])
+    if shape != expected_shape:
+        raise ValueError(
+            f"{path} payload shape {shape} does not match the header geometry "
+            f"{expected_shape}"
+        )
+    # A plain ndarray view over the mapping: same buffer, same writeability,
+    # but slicing it skips np.memmap's per-view subclass machinery.
+    mapped = np.asarray(map_container_payload(path, header, payload_offset, mode=mode))
+    return Rambo.from_planes(config, list(mapped), names, assignments)
+
+
+def _read_v1(path: Path) -> Rambo:
+    """Read a v1 (``RAMBO1``) file into memory.
+
+    The magic has already been matched by :func:`detect_format`.  Raises
+    :class:`ValueError` on a wrong version, a header length that runs past
+    the end of the file, a corrupt header, inconsistent assignment tables,
+    or a payload that is truncated or followed by trailing data.
+    """
     file_size = path.stat().st_size
     with open(path, "rb") as handle:
-        magic = handle.read(len(_MAGIC))
-        if magic == MAGIC_V2:
-            raise ValueError(
-                f"{path} is an mmap-format index; open it with open_index() "
-                "or Rambo.open_mmap()"
-            )
-        if magic != _MAGIC:
-            raise ValueError(f"{path} is not a RAMBO index file (bad magic {magic!r})")
+        handle.seek(len(MAGIC_V1))
         header_len = int.from_bytes(handle.read(8), "little")
         if handle.tell() + header_len > file_size:
             raise ValueError(f"{path} is truncated (header extends past EOF)")
@@ -194,79 +207,6 @@ def load_index(path: PathLike) -> Rambo:
         words = np.fromfile(handle, dtype=np.uint64, count=count)
     planes = words.reshape(config.repetitions, config.num_partitions, -1)
     return Rambo.from_planes(config, list(planes), names, assignments)
-
-
-def save_index_mmap(index: Rambo, path: PathLike, sidecar_name: Optional[str] = None) -> int:
-    """Write *index* in the v2 container for zero-copy serving.
-
-    The planes are written back to back as one contiguous
-    ``(repetitions, partitions, words_per_bfu)`` block — streamed plane by
-    plane, so a save allocates nothing the size of the index — and an
-    opened index serves straight from the mapping.  Returns the number of
-    bytes written.
-    """
-    header = dict(_index_header(index))
-    header["kind"] = "rambo"
-    if sidecar_name is not None:
-        header["metadata_sidecar"] = sidecar_name
-    return write_container(path, header, _own_planes(index))
-
-
-def open_index_mmap(path: PathLike, mode: str = "r") -> Rambo:
-    """Open a v2 index by mapping its payload instead of reading it.
-
-    Only the header is read; the per-repetition ``(partitions, words)``
-    slices of one shared ``np.memmap`` become the index's planes, so
-    ``probe_words_batch`` / ``query_terms_batch`` gather straight from the
-    page cache.
-
-    Parameters
-    ----------
-    mode:
-        ``"r"`` (default) serves read-only — any mutation (``add_document``,
-        in-place bit algebra) raises a clean :class:`ValueError`.  ``"c"``
-        maps copy-on-write: mutation succeeds in anonymous memory and is
-        never written back to the file.
-
-    Raises
-    ------
-    DiskFormatError
-        On bad magic, version mismatch, corrupt header, or a payload whose
-        size disagrees with the header (truncation / trailing data).
-    ValueError
-        If the header geometry does not match the payload shape.
-    """
-    path = Path(path)
-    header, payload_offset = read_container_header(path)
-    if header.get("kind", "rambo") != "rambo":
-        raise DiskFormatError(
-            f"{path} holds a {header.get('kind')!r} index, not a RAMBO index"
-        )
-    config, names, assignments = _restore_bookkeeping(header, path)
-    expected_shape = (config.repetitions, config.num_partitions, config.words_per_bfu)
-    shape = tuple(header["payload"]["shape"])
-    if shape != expected_shape:
-        raise ValueError(
-            f"{path} payload shape {shape} does not match the header geometry "
-            f"{expected_shape}"
-        )
-    # A plain ndarray view over the mapping: same buffer, same writeability,
-    # but slicing it skips np.memmap's per-view subclass machinery.
-    mapped = np.asarray(map_container_payload(path, header, payload_offset, mode=mode))
-    return Rambo.from_planes(config, list(mapped), names, assignments)
-
-
-def open_index(path: PathLike, mode: str = "r") -> Rambo:
-    """Open an index of either format, dispatching on the file magic.
-
-    v1 files are fully loaded with :func:`load_index` (always writable);
-    v2 files are mapped with :func:`open_index_mmap` honouring *mode*.
-    This is what the CLI's ``query`` / ``info`` / ``fold`` commands use, so
-    an operator never has to remember which format a file was built with.
-    """
-    if detect_format(path) == "v1":
-        return load_index(path)
-    return open_index_mmap(path, mode=mode)
 
 
 def describe_index(

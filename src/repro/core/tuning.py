@@ -20,19 +20,13 @@ Both return a :class:`TuningResult` carrying the chosen
 :class:`~repro.core.rambo.RamboConfig` plus the model's predictions, so
 callers (and tests) can check the predicted operating point against
 measurements.
-
-This module is also the home of the *measured* tuning artifacts: the
-:func:`load_cost_model` / :func:`save_cost_model` wrappers move the query
-planner's calibrated per-backend constants (:mod:`repro.plan.cost`) to and
-from the versioned JSON file next to an index artifact, the same way the
-analytic tuner's choices travel inside the container header.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.bloom.bloom_filter import optimal_num_bits
 from repro.core import analysis
@@ -208,24 +202,6 @@ def tune_for_fp_rate(
             "increase the repetition budget or relax the target"
         )
     return min(feasible, key=lambda c: (c.predicted_query_ops, c.predicted_size_bytes))
-
-
-def load_cost_model(index_path) -> Optional["object"]:
-    """The calibrated planner cost model next to *index_path*, or ``None``.
-
-    Looks for ``<index>.cost.json`` (written by ``repro-rambo calibrate``
-    or :meth:`CostModel.save_for`).  Imported lazily: ``repro.plan``
-    depends on ``repro.core``, so the reverse edge stays inside this
-    function body.
-    """
-    from repro.plan.cost import CostModel
-
-    return CostModel.load_for(index_path)
-
-
-def save_cost_model(model, index_path):
-    """Persist a planner cost model next to *index_path*; returns its path."""
-    return model.save_for(index_path)
 
 
 def tune_for_memory(

@@ -30,7 +30,7 @@ build at every instant.  Five pieces, smallest first:
 * :class:`~repro.ingest.engine.IngestEngine` — the primary's policy on top:
   validation, group commit, acknowledgement, and a
   :class:`~repro.ingest.engine.BackgroundCompactor` that folds the delta
-  into a fresh ``RAMBO2`` snapshot via ``merge_indexes``/``save_mmap`` and
+  into a fresh ``RAMBO2`` snapshot via ``merge_indexes``/``save_index`` and
   advances the store onto it (queries never block; in-flight batches drain
   on their own generation).
 """

@@ -313,7 +313,7 @@ class IngestEngine:
             generation = store.generation + 1
             merged = store.delta.merged_with(store.base)
             snapshot_path = store.install_snapshot(
-                generation, lambda tmp: save_index(merged, tmp, format="mmap")
+                generation, lambda tmp: save_index(merged, tmp)
             )
             snapshot = store.advance(generation, snapshot_path)
             self.compactions += 1

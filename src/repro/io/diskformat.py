@@ -1,14 +1,14 @@
-"""The memory-mapped on-disk container (format version 2).
+"""The memory-mapped on-disk container (format version 2), the only one written.
 
 The paper's serving story is build-once / query-many at archive scale: a
 1.8TB index distilled from 170TB of reads is shipped to query nodes that
 must start answering immediately.  Loading such an index into fresh
-in-memory arrays (the v1 path in :mod:`repro.core.serialization`) reads the
-whole payload and holds it twice during the copy; the v2 container instead
-lays the raw bit-array words out contiguously so a server can ``mmap`` the
-file and let :class:`repro.bloom.bitarray.BitArray` wrap read-only views —
-opening costs one small header read, and the batched probe kernel pages in
-only the words a query actually touches.
+in-memory arrays reads the whole payload and holds it twice during the
+copy; this container instead lays the raw bit-array words out contiguously
+so a server can ``mmap`` the file and let
+:class:`repro.bloom.bitarray.BitArray` wrap read-only views — opening costs
+one small header read, and the batched probe kernel pages in only the words
+a query actually touches.
 
 Byte-level layout (all integers little-endian)::
 
@@ -47,9 +47,9 @@ PathLike = Union[str, Path]
 #: Magic prefix of the v2 (memory-mapped) container.
 MAGIC_V2 = b"RAMBO2\n"
 
-#: Magic prefix of the v1 (load-into-memory) container, owned by
-#: :mod:`repro.core.serialization`; recognised here so format detection has
-#: a single home.
+#: Magic prefix of the retired v1 (load-into-memory) container: nothing
+#: writes it any more, :mod:`repro.core.serialization` still reads it, and
+#: it is recognised here so format detection has a single home.
 MAGIC_V1 = b"RAMBO1\n"
 
 #: Container format version written and accepted by this module.
@@ -65,8 +65,8 @@ _PRELUDE = len(MAGIC_V2) + 1 + 8  # magic + reserved byte + header length
 class DiskFormatError(ValueError):
     """A container file is malformed, truncated or of an unsupported version.
 
-    Subclasses :class:`ValueError` so callers that historically caught the
-    v1 loader's errors keep working unchanged.
+    Subclasses :class:`ValueError` so callers that catch the v1 reader's
+    errors catch these too.
     """
 
 
@@ -74,8 +74,7 @@ def _require_little_endian() -> None:
     if sys.byteorder != "little":
         raise DiskFormatError(
             "the mmap container stores little-endian words and zero-copy "
-            "serving is only supported on little-endian hosts; use the v1 "
-            "format here"
+            "serving is only supported on little-endian hosts"
         )
 
 
@@ -172,11 +171,6 @@ def read_container_header(path: PathLike) -> Tuple[Dict, int]:
     with open(path, "rb") as handle:
         magic = handle.read(len(MAGIC_V2))
         if magic != MAGIC_V2:
-            if magic == MAGIC_V1:
-                raise DiskFormatError(
-                    f"{path} is a v1 index (load it with load_index); "
-                    "the mmap opener only reads format version 2"
-                )
             raise DiskFormatError(
                 f"{path} is not a RAMBO mmap index (bad magic {magic!r})"
             )

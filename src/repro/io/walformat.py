@@ -503,12 +503,13 @@ class SegmentedWalWriter:
     replication catch-up read must walk, and the copy cost of shipping a
     segment.  ``segment_bytes=0`` disables rolling (one segment per
     generation).  The roll happens *before* a batch once the current
-    segment has reached the bound, so a batch never straddles segments and
-    the per-batch commit unit is unchanged.  Any group-commit records still
-    buffered in the old segment are synced as part of sealing it — sealed
-    segments are always fully committed, which is what lets
-    :func:`replay_wal_generation` treat torn damage anywhere but the last
-    segment as corruption.
+    segment has reached the bound and holds a record, so a batch never
+    straddles segments, the per-batch commit unit is unchanged, and no
+    segment is left empty when the bound is below the header size.  Any
+    group-commit records still buffered in the old segment are synced as
+    part of sealing it — sealed segments are always fully committed, which
+    is what lets :func:`replay_wal_generation` treat torn damage anywhere
+    but the last segment as corruption.
     """
 
     def __init__(
@@ -638,10 +639,14 @@ class SegmentedWalWriter:
         a failed append can never leave record bytes behind for a later
         commit to fsync as if they had been acknowledged.
         """
-        if self.segment_bytes > 0 and self._end >= self.segment_bytes:
+        current = self._segments[-1]
+        if (
+            self.segment_bytes > 0
+            and self._end >= self.segment_bytes
+            and current.records + self._pending_records
+        ):
             self.sync()
             self._handle.close()
-            current = self._segments[-1]
             self._open(current.segment + 1, current.end_record)
         payloads = [encode_document(document) for document in documents]
         start = self._end

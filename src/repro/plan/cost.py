@@ -27,8 +27,8 @@ Constants come from one of three places, in increasing order of trust:
    channel — the same measurements the ablation study reports.
 
 A fitted model is persisted as versioned JSON next to the index artifact
-(``<index>.cost.json``) and loaded through :func:`repro.core.tuning`'s
-``load_cost_model`` wrapper, mirroring how tuned thread counts travel.
+(``<index>.cost.json``) by :meth:`CostModel.save_for` and read back by
+:meth:`CostModel.load_for`.
 """
 
 from __future__ import annotations

@@ -386,11 +386,11 @@ class TestRamboBatch:
             assert got.documents == want.documents
 
     def test_batch_after_load(self, built_rambo, small_dataset, tmp_path):
-        from repro.core.serialization import load_index, save_index
+        from repro.core.serialization import open_index, save_index
 
         path = tmp_path / "roundtrip.rambo"
         save_index(built_rambo, path)
-        loaded = load_index(path)
+        loaded = open_index(path)
         terms = list(small_dataset.documents[0].terms)[:5]
         for got, want in zip(
             loaded.query_terms_batch(terms), built_rambo.query_terms_batch(terms)
@@ -442,7 +442,7 @@ class TestKernelIdentity:
         if kind == "folded":
             return index.fold()
         if kind == "mapped":
-            save_index(index, Path(directory) / "index.rambo2", format="mmap")
+            save_index(index, Path(directory) / "index.rambo2")
             index = open_index(Path(directory) / "index.rambo2")
             assert index.is_mapped
         return index

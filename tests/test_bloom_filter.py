@@ -1,4 +1,4 @@
-"""Tests for the Bloom filter and its scalable variant."""
+"""Tests for the Bloom filter and its sizing rules."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bloom.bloom_filter import BloomFilter, optimal_num_bits, optimal_num_hashes
-from repro.bloom.scalable import ScalableBloomFilter
 
 keys = st.lists(st.text(min_size=1, max_size=12), min_size=0, max_size=60, unique=True)
 
@@ -160,45 +159,3 @@ class TestBloomFilter:
         b.update(items_b)
         union = a.union(b)
         assert all(item in union for item in items_a + items_b)
-
-
-class TestScalableBloomFilter:
-    def test_grows_beyond_initial_capacity(self):
-        sbf = ScalableBloomFilter(initial_capacity=32, fp_rate=0.01, seed=2)
-        items = [f"item{i}" for i in range(500)]
-        sbf.update(items)
-        assert len(sbf.stages) > 1
-        assert sbf.num_items == 500
-
-    def test_no_false_negatives_across_stages(self):
-        sbf = ScalableBloomFilter(initial_capacity=16, fp_rate=0.05, seed=3)
-        items = [f"key{i}" for i in range(300)]
-        sbf.update(items)
-        assert all(item in sbf for item in items)
-
-    def test_compound_fp_below_budget(self):
-        sbf = ScalableBloomFilter(initial_capacity=64, fp_rate=0.02, seed=4)
-        sbf.update(f"k{i}" for i in range(1000))
-        false_hits = sum(1 for i in range(1000, 6000) if f"k{i}" in sbf)
-        assert false_hits / 5000 < 0.06
-
-    def test_size_grows_with_stages(self):
-        sbf = ScalableBloomFilter(initial_capacity=16, fp_rate=0.01)
-        initial = sbf.size_in_bytes()
-        sbf.update(f"k{i}" for i in range(200))
-        assert sbf.size_in_bytes() > initial
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            ScalableBloomFilter(initial_capacity=0)
-        with pytest.raises(ValueError):
-            ScalableBloomFilter(fp_rate=0.0)
-        with pytest.raises(ValueError):
-            ScalableBloomFilter(growth_factor=1)
-        with pytest.raises(ValueError):
-            ScalableBloomFilter(tightening_ratio=1.0)
-
-    def test_expected_fp_rate_reported(self):
-        sbf = ScalableBloomFilter(initial_capacity=16, fp_rate=0.01)
-        sbf.update(f"k{i}" for i in range(50))
-        assert 0.0 <= sbf.expected_false_positive_rate() < 1.0

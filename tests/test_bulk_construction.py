@@ -24,7 +24,7 @@ from repro.core import rambo as rambo_module
 from repro.core.executor import num_threads
 from repro.core.parallel import merge_indexes
 from repro.core.rambo import Rambo, RamboConfig
-from repro.core.serialization import load_index, save_index
+from repro.core.serialization import open_index, save_index
 from repro.hashing.murmur3 import double_hashes, double_hashes_batch
 from repro.io.mccortex import read_mccortex, write_mccortex
 from repro.kmers.extraction import KmerDocument
@@ -320,7 +320,7 @@ class TestRamboBulkEquivalence:
         folded = fold_rambo(merged, 1)
         path = tmp_path / "merged_folded.rambo"
         save_index(folded, path)
-        restored = load_index(path)
+        restored = open_index(path)
         # The on-disk format stores BFU payloads + assignments (num_items is
         # a build-side statistic and is not persisted): compare those.
         assert restored.document_names == folded.document_names
@@ -401,8 +401,8 @@ class TestInsertKernel:
             bulk = Rambo(cfg)
             bulk.add_documents([seed_doc])
             if case["mapped"]:
-                bulk.save_mmap(Path(tmp) / "seed.rambo2")
-                bulk = Rambo.open_mmap(Path(tmp) / "seed.rambo2", mode="c")
+                save_index(bulk, Path(tmp) / "seed.rambo2")
+                bulk = open_index(Path(tmp) / "seed.rambo2", mode="c")
                 # The containers do not persist insert counts: put the seed's back.
                 for r, row in enumerate(bulk.assignments):
                     bulk.insert_counts[r, row[0]] += len(seed_doc)

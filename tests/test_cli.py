@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -15,6 +16,9 @@ from repro.hashing.kmer_hash import int_to_kmer
 from repro.simulate.genomes import GenomeSimulator
 
 K = 13
+
+#: A file of the retired v1 container (see tests/test_serialization.py).
+V1_FIXTURE = Path(__file__).parent / "data" / "pinned-built.v1.rambo"
 
 
 @pytest.fixture(scope="module")
@@ -283,37 +287,39 @@ class TestMmapFormat:
         exit_code = main(
             [
                 "build", str(sequence_dir), str(path),
-                "--kmer-size", str(K), "--seed", "3", "--format", "mmap",
+                "--kmer-size", str(K), "--seed", "3",
                 "--partitions", "4", "--repetitions", "2", "--bfu-bits", "16384",
             ]
         )
         assert exit_code == 0
         return path
 
-    def test_build_reports_format(self, sequence_dir, tmp_path, capsys):
-        out_path = tmp_path / "m.rambo2"
-        main(["build", str(sequence_dir), str(out_path), "--kmer-size", str(K), "--format", "mmap"])
-        assert "(mmap format)" in capsys.readouterr().out
+    def test_build_writes_the_mmap_container(self, built_index_path, sequence_dir, tmp_path):
+        from repro.io.diskformat import detect_format
+
+        assert detect_format(built_index_path) == "mmap"
+        with pytest.raises(SystemExit):  # no --format option any more
+            main(["build", str(sequence_dir), str(tmp_path / "v1.rambo"), "--format", "v1"])
+        assert not (tmp_path / "v1.rambo").exists()
 
     def test_query_autodetects_mmap_index(self, mmap_index_path, probe_kmer, capsys):
         exit_code = main(["query", str(mmap_index_path), probe_kmer])
         assert exit_code == 0
         assert "sampleA0" in capsys.readouterr().out
 
-    def test_query_results_identical_across_formats(
-        self, built_index_path, sequence_dir, tmp_path, probe_kmer, capsys
-    ):
-        """The same corpus answers identically from a v1 and an mmap file."""
-        mmap_path = tmp_path / "same.rambo2"
-        main(
-            ["build", str(sequence_dir), str(mmap_path),
-             "--kmer-size", str(K), "--seed", "3", "--format", "mmap"]
-        )
-        capsys.readouterr()
-        main(["query", str(built_index_path), probe_kmer, "Z" * 8])
+    def test_query_results_identical_across_formats(self, tmp_path, capsys):
+        """A v1 file answers identically to its conversion to RAMBO2."""
+        from repro.core.serialization import open_index, save_index
+
+        converted = tmp_path / "converted.rambo2"
+        save_index(open_index(V1_FIXTURE), converted)
+        # The fixture's documents hold the codes 0..95 (k=11).
+        probes = [int_to_kmer(code, 11) for code in (0, 7, 50, 102, 900)]
+        main(["query", str(V1_FIXTURE), *probes])
         v1_out = capsys.readouterr().out
-        main(["query", str(mmap_path), probe_kmer, "Z" * 8])
+        main(["query", str(converted), *probes])
         assert capsys.readouterr().out == v1_out
+        assert "doc0" in v1_out
 
     def test_info_shows_mapped_format(self, mmap_index_path, capsys):
         exit_code = main(["info", str(mmap_index_path)])
@@ -321,6 +327,12 @@ class TestMmapFormat:
         output = capsys.readouterr().out
         assert "format          : mmap (memory-mapped)" in output
         assert "documents       : 6" in output
+
+    def test_info_shows_v1_format(self, capsys):
+        assert main(["info", str(V1_FIXTURE)]) == 0
+        output = capsys.readouterr().out
+        assert "format          : v1\n" in output
+        assert "documents       : 10" in output
 
     def test_fold_preserves_mmap_format(self, mmap_index_path, tmp_path, probe_kmer, capsys):
         folded = tmp_path / "folded.rambo2"
@@ -332,6 +344,17 @@ class TestMmapFormat:
         assert detect_format(folded) == "mmap"
         main(["query", str(folded), probe_kmer])
         assert "sampleA0" in capsys.readouterr().out
+
+    def test_fold_converts_a_v1_file(self, tmp_path, capsys):
+        from repro.core.serialization import open_index
+        from repro.io.diskformat import detect_format
+
+        folded = tmp_path / "folded.rambo2"
+        assert main(["fold", str(V1_FIXTURE), str(folded), "--folds", "1"]) == 0
+        assert "B 6 -> 3" in capsys.readouterr().out
+        assert detect_format(folded) == "mmap"
+        reference = open_index(V1_FIXTURE).fold()
+        assert np.array_equal(np.stack(open_index(folded).planes), np.stack(reference.planes))
 
 
 class TestThreads:

@@ -4,12 +4,13 @@ Covers the tentpole guarantees: zero-copy round-trips that answer queries
 bit-identically to the in-memory index, clean rejection of malformed files
 (truncation, trailing data, corrupt headers, version mismatches), the
 read-only mutation guard and its copy-on-write escape hatch, and the
-save → open_mmap → fold pipeline the fold CLI relies on.
+save → open_index → fold pipeline the fold CLI relies on.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +19,7 @@ from repro.baselines.cobs import CobsIndex
 from repro.bloom.bitarray import BitArray
 from repro.core.distributed import DistributedRambo
 from repro.core.rambo import Rambo, RamboConfig
-from repro.core.serialization import (
-    load_index,
-    open_index,
-    open_index_mmap,
-    save_index,
-    save_index_mmap,
-)
+from repro.core.serialization import open_index, save_index
 from repro.io.diskformat import (
     MAGIC_V2,
     DiskFormatError,
@@ -32,6 +27,9 @@ from repro.io.diskformat import (
     write_container,
 )
 from repro.kmers.extraction import KmerDocument
+
+#: A file of the retired v1 container (see tests/test_serialization.py).
+V1_FIXTURE = Path(__file__).parent / "data" / "pinned-built.v1.rambo"
 
 
 def sample_terms(dataset, per_doc=5, extra=("absent-1", "absent-2")):
@@ -45,23 +43,24 @@ def sample_terms(dataset, per_doc=5, extra=("absent-1", "absent-2")):
 @pytest.fixture()
 def mmap_path(built_rambo, tmp_path):
     path = tmp_path / "index.rambo2"
-    built_rambo.save_mmap(path)
+    save_index(built_rambo, path)
     return path
 
 
 class TestMmapRoundTrip:
-    def test_save_dispatch_and_detection(self, built_rambo, tmp_path):
-        v1 = tmp_path / "a.rambo"
-        v2 = tmp_path / "a.rambo2"
-        save_index(built_rambo, v1)
-        save_index(built_rambo, v2, format="mmap")
-        assert detect_format(v1) == "v1"
-        assert detect_format(v2) == "mmap"
+    def test_save_writes_only_the_mmap_container(self, built_rambo, tmp_path):
+        path = tmp_path / "a.rambo2"
+        save_index(built_rambo, path)
+        assert detect_format(path) == "mmap"
+        assert detect_format(V1_FIXTURE) == "v1"
+        with pytest.raises(ValueError, match="v1 files still open through open_index"):
+            save_index(built_rambo, tmp_path / "x", format="v1")
         with pytest.raises(ValueError, match="unknown index format"):
             save_index(built_rambo, tmp_path / "x", format="pickle")
+        assert not (tmp_path / "x").exists()
 
     def test_mapped_queries_bit_identical(self, built_rambo, small_dataset, mmap_path):
-        mapped = Rambo.open_mmap(mmap_path)
+        mapped = open_index(mmap_path)
         assert mapped.is_mapped and mapped.readonly
         assert mapped.document_names == built_rambo.document_names
         terms = sample_terms(small_dataset)
@@ -77,29 +76,28 @@ class TestMmapRoundTrip:
         assert mapped.query_terms(terms[:8]) == built_rambo.query_terms(terms[:8])
 
     def test_payload_served_from_readonly_views(self, built_rambo, mmap_path):
-        mapped = Rambo.open_mmap(mmap_path)
+        mapped = open_index(mmap_path)
         bits = mapped.bfu(0, 0).bits
         assert not bits.writeable
         assert bits == built_rambo.bfu(0, 0).bits
         assert mapped.size_in_bytes() == built_rambo.size_in_bytes()
 
-    def test_open_index_autodetects_both_formats(self, built_rambo, mmap_path, tmp_path):
-        v1 = tmp_path / "b.rambo"
-        save_index(built_rambo, v1)
-        assert not open_index(v1).is_mapped
+    def test_open_index_autodetects_both_formats(self, mmap_path):
+        v1 = open_index(V1_FIXTURE)
+        assert not v1.is_mapped and not v1.readonly
         assert open_index(mmap_path).is_mapped
 
     def test_empty_index_round_trip(self, small_rambo_config, tmp_path):
         index = Rambo(small_rambo_config)
         path = tmp_path / "empty.rambo2"
-        index.save_mmap(path)
-        restored = Rambo.open_mmap(path)
+        save_index(index, path)
+        restored = open_index(path)
         assert restored.num_documents == 0
         assert restored.query_term("anything").documents == frozenset()
 
     def test_fold_after_open_mmap(self, built_rambo, small_dataset, mmap_path):
-        """save -> open_mmap -> fold materialises a writable folded index."""
-        folded_mapped = Rambo.open_mmap(mmap_path).fold()
+        """save -> open_index -> fold materialises a writable folded index."""
+        folded_mapped = open_index(mmap_path).fold()
         folded_memory = built_rambo.fold()
         assert not folded_mapped.is_mapped and not folded_mapped.readonly
         for term in sample_terms(small_dataset, per_doc=3):
@@ -116,14 +114,18 @@ class TestMmapRoundTrip:
 
 class TestMutationGuard:
     def test_add_document_raises_cleanly(self, mmap_path):
-        mapped = Rambo.open_mmap(mmap_path)
+        mapped = open_index(mmap_path)
         with pytest.raises(ValueError, match="read-only"):
             mapped.add_document(KmerDocument(name="n", terms=frozenset({"t"})))
         # The failed insert must not have touched the bookkeeping.
         assert "n" not in mapped.document_names
 
+    def test_readonly_error_points_at_copy_on_write(self, mmap_path):
+        with pytest.raises(ValueError, match=r"open_index\(path, mode='c'\)"):
+            open_index(mmap_path).add_documents([KmerDocument(name="n", terms=frozenset({"t"}))])
+
     def test_bitarray_mutation_raises_cleanly(self, mmap_path):
-        bits = Rambo.open_mmap(mmap_path).bfu(0, 0).bits
+        bits = open_index(mmap_path).bfu(0, 0).bits
         with pytest.raises(ValueError, match="read-only"):
             bits.set(0)
         with pytest.raises(ValueError, match="read-only"):
@@ -134,17 +136,17 @@ class TestMutationGuard:
 
     def test_copy_on_write_mode(self, built_rambo, mmap_path):
         before = mmap_path.read_bytes()
-        cow = Rambo.open_mmap(mmap_path, mode="c")
+        cow = open_index(mmap_path, mode="c")
         assert cow.is_mapped and not cow.readonly
         cow.add_document(KmerDocument(name="scratch", terms=frozenset({"cow-term"})))
         assert "scratch" in cow.query_term("cow-term").documents
         # Copy-on-write mutations never reach the file.
         assert mmap_path.read_bytes() == before
-        assert "scratch" not in Rambo.open_mmap(mmap_path).document_names
+        assert "scratch" not in open_index(mmap_path).document_names
 
     def test_bad_mode_rejected(self, mmap_path):
         with pytest.raises(ValueError, match="mode"):
-            Rambo.open_mmap(mmap_path, mode="w")
+            open_index(mmap_path, mode="w")
 
 
 class TestCorruptionHandling:
@@ -152,32 +154,32 @@ class TestCorruptionHandling:
         payload = mmap_path.read_bytes()
         mmap_path.write_bytes(payload[:-100])
         with pytest.raises(DiskFormatError, match="truncated"):
-            Rambo.open_mmap(mmap_path)
+            open_index(mmap_path)
 
     def test_truncated_header_rejected(self, mmap_path):
         mmap_path.write_bytes(mmap_path.read_bytes()[:20])
         with pytest.raises(DiskFormatError, match="truncated"):
-            Rambo.open_mmap(mmap_path)
+            open_index(mmap_path)
 
     def test_trailing_garbage_rejected(self, mmap_path):
         with open(mmap_path, "ab") as handle:
             handle.write(b"extra")
         with pytest.raises(DiskFormatError, match="trailing"):
-            Rambo.open_mmap(mmap_path)
+            open_index(mmap_path)
 
     def test_corrupt_header_rejected(self, mmap_path):
         payload = bytearray(mmap_path.read_bytes())
         payload[20] = 0xFF
         mmap_path.write_bytes(bytes(payload))
         with pytest.raises(DiskFormatError):
-            Rambo.open_mmap(mmap_path)
+            open_index(mmap_path)
 
     def test_bad_magic_rejected(self, mmap_path):
         payload = bytearray(mmap_path.read_bytes())
         payload[0:6] = b"NOTRAM"
         mmap_path.write_bytes(bytes(payload))
         with pytest.raises(DiskFormatError, match="magic"):
-            Rambo.open_mmap(mmap_path)
+            open_index(mmap_path)
         with pytest.raises(DiskFormatError, match="magic"):
             detect_format(mmap_path)
 
@@ -189,37 +191,27 @@ class TestCorruptionHandling:
             np.zeros((1, 1), dtype=np.uint64),
         )
         with pytest.raises(DiskFormatError, match="unsupported format version 3"):
-            Rambo.open_mmap(path)
+            open_index(path)
 
     def test_payload_parts_must_share_one_shape(self, tmp_path):
         parts = [np.zeros((2, 3), dtype=np.uint64), np.zeros((2, 4), dtype=np.uint64)]
         with pytest.raises(DiskFormatError, match="disagree on shape"):
             write_container(tmp_path / "ragged.rambo2", {"kind": "rambo"}, parts)
 
-    def test_v1_loader_points_at_mmap_opener(self, mmap_path):
-        with pytest.raises(ValueError, match="open_mmap"):
-            load_index(mmap_path)
-
-    def test_mmap_opener_points_at_v1_loader(self, built_rambo, tmp_path):
-        v1 = tmp_path / "c.rambo"
-        save_index(built_rambo, v1)
-        with pytest.raises(DiskFormatError, match="load_index"):
-            open_index_mmap(v1)
-
     def test_kind_mismatch_rejected(self, built_rambo, tmp_path):
         rambo_path = tmp_path / "d.rambo2"
-        save_index_mmap(built_rambo, rambo_path)
+        save_index(built_rambo, rambo_path)
         with pytest.raises(DiskFormatError, match="not a COBS index"):
             CobsIndex.open_mmap(rambo_path)
         cobs = CobsIndex(num_bits=256, num_hashes=2)
         cobs_path = tmp_path / "d.cobs2"
         cobs.save_mmap(cobs_path)
         with pytest.raises(DiskFormatError, match="not a RAMBO index"):
-            Rambo.open_mmap(cobs_path)
+            open_index(cobs_path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            Rambo.open_mmap(tmp_path / "does-not-exist.rambo2")
+            open_index(tmp_path / "does-not-exist.rambo2")
 
 
 class TestCobsMmap:

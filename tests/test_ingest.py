@@ -510,6 +510,23 @@ class TestWalFormat:
         assert [committed for _, _, _, committed, _ in extents] == sizes
         assert replay.records == 6 and len(extents) == writer.segment_count
 
+    @pytest.mark.parametrize("sync", [True, False])
+    def test_a_bound_below_the_header_never_leaves_a_segment_empty(self, tmp_path, sync):
+        """A segment rolls only once it holds a record, committed or still
+        buffered: with the bound below the ~192-byte header, each segment
+        still takes one batch."""
+        with SegmentedWalWriter(tmp_path, CONFIG, 0, segment_bytes=1) as writer:
+            for i in range(3):
+                writer.append([make_doc(f"d{i}", [i])], sync=sync)
+            writer.sync()
+            extents = [(info.segment, info.records) for info in writer.segment_infos()]
+            # Three headers and two seals, plus three commits or one group commit.
+            assert writer.sync_count == (9 if sync else 6)
+        assert extents == [(0, 1), (1, 1), (2, 1)]
+        replay = replay_wal_generation(tmp_path, 0, CONFIG)
+        assert [d.name for d in replay.documents] == ["d0", "d1", "d2"]
+        assert [(info.segment, info.records) for info in replay.segments] == extents
+
 
 class TestPinnedWalBytes:
     """The WAL's bytes and fsyncs, pinned: the digests and the count are
@@ -653,7 +670,7 @@ class TestDeltaOverlayIdentity:
         with pytest.raises(ValueError, match="compact"):
             overlay.fold()
         with pytest.raises(ValueError):
-            overlay.save_mmap("/dev/null")
+            save_index(overlay, "/dev/null")
         with pytest.raises(ValueError):
             overlay.bfu(0, 0)
 
@@ -689,7 +706,7 @@ def ingest_stack(tmp_path):
             self.base_docs = [make_doc(f"base{i}", [i, i + 1, i + 2]) for i in range(6)]
             base = build_reference(CONFIG, self.base_docs)
             self.base_path = tmp_path / "base.rambo2"
-            save_index(base, self.base_path, format="mmap")
+            save_index(base, self.base_path)
             self.wal_dir = tmp_path / "wal"
             self.service = None
             self.engine = None
@@ -936,7 +953,7 @@ class TestPublishCost:
     @pytest.fixture()
     def big_stack(self, tmp_path):
         base_docs = [make_doc("base0", [1, 2, 3])]
-        save_index(build_reference(self.BIG, base_docs), tmp_path / "base.rambo2", format="mmap")
+        save_index(build_reference(self.BIG, base_docs), tmp_path / "base.rambo2")
         with QueryService.open(tmp_path / "base.rambo2", tick_seconds=0.0) as service:
             engine = IngestEngine(service, tmp_path / "wal", fsync=False)
             service.attach_ingest(engine)
@@ -1430,7 +1447,7 @@ class IngestConsistencyMachine(RuleBasedStateMachine):
         self.base_docs = [make_doc(f"base{i}", [i, i + 5]) for i in range(4)]
         base = build_reference(CONFIG, self.base_docs)
         self.base_path = self.tmp / "base.rambo2"
-        save_index(base, self.base_path, format="mmap")
+        save_index(base, self.base_path)
         self.wal_dir = self.tmp / "wal"
         self.acked = list(self.base_docs)
         self.counter = 0

@@ -9,14 +9,13 @@ result name-by-name.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.core.base import QueryResult
 from repro.core.rambo import Rambo, RamboConfig
 from repro.core.serialization import describe_index, open_index, save_index
+from repro.io.diskformat import read_container_header
 from repro.kmers.extraction import KmerDocument
 from repro.meta import (
     METADATA_FORMAT_VERSION,
@@ -177,15 +176,15 @@ def _small_index() -> Rambo:
 
 
 class TestSaveIndexIntegration:
-    @pytest.mark.parametrize("format", ["v1", "mmap"])
-    def test_sidecar_written_and_referenced_from_header(self, store, tmp_path, format):
+    def test_sidecar_written_and_referenced_from_header(self, store, tmp_path):
         index = _small_index()
-        suffix = ".rambo" if format == "v1" else ".rambo2"
-        path = tmp_path / f"index{suffix}"
-        save_index(index, path, format=format, metadata=store)
+        path = tmp_path / "index.rambo2"
+        save_index(index, path, metadata=store)
         # The sidecar exists and loads back identically ...
         loaded = load_sidecar_for(path)
         assert loaded is not None and loaded.to_dict() == store.to_dict()
+        # ... the header names it ...
+        assert read_container_header(path)[0]["metadata_sidecar"] == sidecar_path(path).name
         # ... the index itself is untouched by the extension ...
         reopened = open_index(path)
         assert reopened.num_documents == index.num_documents
@@ -194,23 +193,12 @@ class TestSaveIndexIntegration:
         assert record["metadata_sidecar"] == sidecar_path(path).name
         assert record["capabilities"]["sparse"] is True
 
-    @pytest.mark.parametrize("format", ["v1", "mmap"])
-    def test_header_field_is_backward_compatible(self, tmp_path, format):
+    def test_header_field_is_backward_compatible(self, tmp_path):
         """Files written without metadata have no sidecar and still describe."""
-        index = _small_index()
-        path = tmp_path / ("plain.rambo" if format == "v1" else "plain.rambo2")
-        save_index(index, path, format=format)
+        path = tmp_path / "plain.rambo2"
+        save_index(_small_index(), path)
         assert load_sidecar_for(path) is None
+        assert "metadata_sidecar" not in read_container_header(path)[0]
         record = describe_index(open_index(path), path=path)
         assert record["metadata_sidecar"] is None
         assert record["cost_model"] is None
-
-    def test_v1_header_carries_the_sidecar_name(self, store, tmp_path):
-        path = tmp_path / "index.rambo"
-        save_index(index := _small_index(), path, format="v1", metadata=store)
-        with open(path, "rb") as handle:
-            handle.read(len(b"RAMBO1\n"))  # magic
-            length = int.from_bytes(handle.read(8), "little")
-            header = json.loads(handle.read(length).decode("utf-8"))
-        assert header["metadata_sidecar"] == sidecar_path(path).name
-        assert index.num_documents == 4

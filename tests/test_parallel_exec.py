@@ -258,7 +258,7 @@ class TestMmapQueryIdentity:
         self, built_rambo, query_terms, tmp_path, method
     ):
         path = tmp_path / "index.rambo2"
-        save_index(built_rambo, path, format="mmap")
+        save_index(built_rambo, path)
         mapped = open_index(path)
         assert mapped.is_mapped
         with num_threads(1):
@@ -438,7 +438,7 @@ def _small_batch_index(kind: str, small_dataset, config: RamboConfig, tmp_path):
     index.add_documents(documents)
     if kind == "mapped":
         path = tmp_path / "small-batch.rambo2"
-        save_index(index, path, format="mmap")
+        save_index(index, path)
         index = open_index(path)
         assert index.is_mapped
     return index

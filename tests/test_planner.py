@@ -36,7 +36,6 @@ from repro.core.base import QUERY_METHODS, check_query_method
 from repro.core.parallel import merge_indexes
 from repro.core.rambo import Rambo, RamboConfig
 from repro.core.serialization import save_index
-from repro.core.tuning import load_cost_model, save_cost_model
 from repro.kmers.extraction import KmerDocument
 from repro.meta import MetadataStore
 from repro.plan import (
@@ -123,13 +122,13 @@ class TestCostModel:
         with pytest.raises(ValueError, match="unsupported cost model version"):
             CostModel.from_dict(payload)
 
-    def test_tuning_wrappers_mirror_the_model_api(self, tmp_path):
+    def test_model_saved_beside_an_index_round_trips(self, tmp_path):
         model = CostModel({"b": {"setup": 3e-4}})
         index_path = tmp_path / "index.rambo"
-        save_cost_model(model, index_path)
-        loaded = load_cost_model(index_path)
+        model.save_for(index_path)
+        loaded = CostModel.load_for(index_path)
         assert loaded is not None and loaded.to_dict() == model.to_dict()
-        assert load_cost_model(tmp_path / "missing.rambo") is None
+        assert CostModel.load_for(tmp_path / "missing.rambo") is None
 
     def test_fit_from_grid_parses_bench_rows_and_rejects_gridless_streams(self):
         rows = {
@@ -445,7 +444,7 @@ def _served_setup(tmp_path, with_metadata=True):
         }
     )
     path = tmp_path / "served.rambo2"
-    save_index(index, path, format="mmap", metadata=meta if with_metadata else None)
+    save_index(index, path, metadata=meta if with_metadata else None)
     service = QueryService.open(path, tick_seconds=0.001)
     return index, meta, service
 
@@ -487,7 +486,7 @@ class TestServedPlanning:
         index, _, service = _served_setup(tmp_path)
         served = tmp_path / "served.rambo2"
         bare = tmp_path / "bare.rambo2"
-        save_index(index, bare, format="mmap")  # no sidecar beside this one
+        save_index(index, bare)  # no sidecar beside this one
         with service:
             reloads = []
             reload_artifacts = service._reload_artifacts

@@ -116,7 +116,7 @@ class TestConstruction:
         from repro.core.distributed import DistributedRambo, stack_shards
         from repro.core.executor import num_threads
         from repro.core.parallel import merge_indexes
-        from repro.core.serialization import load_index, open_index, save_index
+        from repro.core.serialization import open_index, save_index
         from repro.ingest.overlay import LiveDelta
 
         documents = [
@@ -133,8 +133,8 @@ class TestConstruction:
             halves[1].add_documents(documents[11:], parallel=True)
         cluster = DistributedRambo(num_nodes=3, node_config=config)
         cluster.add_documents(documents)
-        save_index(built.fold(), tmp_path / "v1.rambo")
-        save_index(built, tmp_path / "v2.rambo2", format="mmap")
+        save_index(built.fold(), tmp_path / "folded.rambo2")
+        save_index(built, tmp_path / "built.rambo2")
         live = LiveDelta(config)
         live.absorb(documents[:4])
         live.reset()
@@ -145,9 +145,12 @@ class TestConstruction:
             "folded twice": (built.fold().fold(), True),
             "merged": (merge_indexes(halves), True),
             "stacked then folded": (stack_shards(cluster).fold(), True),
-            "loaded": (load_index(tmp_path / "v1.rambo"), False),
-            "mapped": (open_index(tmp_path / "v2.rambo2"), False),
-            "mapped copy-on-write": (Rambo.open_mmap(tmp_path / "v2.rambo2", mode="c"), False),
+            "folded, saved, mapped copy-on-write": (
+                open_index(tmp_path / "folded.rambo2", mode="c"),
+                False,
+            ),
+            "mapped": (open_index(tmp_path / "built.rambo2"), False),
+            "mapped copy-on-write": (open_index(tmp_path / "built.rambo2", mode="c"), False),
             "live delta": (live._index, True),  # noqa: SLF001
         }
         for label, (index, counted) in derived.items():

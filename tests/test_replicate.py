@@ -156,7 +156,7 @@ class Cluster:
         self.base_docs = [make_doc(f"base{i}", [i, i + 1, i + 2]) for i in range(4)]
         base = build_reference(config, self.base_docs)
         self.base_path = self.root / "base.rambo2"
-        save_index(base, self.base_path, format="mmap")
+        save_index(base, self.base_path)
         self.primary_wal = self.root / "primary-wal"
         self.standby_wal = self.root / "standby-wal"
         self.engine_kwargs = dict(engine_kwargs)

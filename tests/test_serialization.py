@@ -15,8 +15,8 @@ from repro.core.rambo import Rambo, RamboConfig
 from repro.core.serialization import open_index, save_index
 from repro.kmers.extraction import KmerDocument
 
-#: Two v1 (``RAMBO1``) files written by the v1 writer for :func:`pinned_index`
-#: and its fold; the only v1 bytes the suite reads.
+#: Two v1 (``RAMBO1``) files written by the retired v1 writer for
+#: :func:`pinned_indexes`; the only v1 bytes the suite reads.
 V1_FIXTURES = {
     "built": Path(__file__).parent / "data" / "pinned-built.v1.rambo",
     "folded": Path(__file__).parent / "data" / "pinned-folded.v1.rambo",
@@ -31,8 +31,9 @@ def sample_terms(dataset, per_doc=5, extra=("absent-1", "absent-2")):
     return terms
 
 
-def pinned_index() -> Rambo:
-    """The index the pinned digests and the v1 fixtures were written for."""
+def pinned_indexes():
+    """The index the pinned digests and the v1 fixtures were written for,
+    and its fold."""
     config = RamboConfig(
         num_partitions=6, repetitions=3, bfu_bits=1000, bfu_hashes=2, k=11, seed=42
     )
@@ -41,11 +42,6 @@ def pinned_index() -> Rambo:
         [KmerDocument(f"doc{i}", np.arange(i * 7, i * 7 + 40, dtype=np.uint64)) for i in range(9)]
     )
     index.add_document(KmerDocument("words", frozenset({"alpha", "beta"})))
-    return index
-
-
-def pinned_indexes():
-    index = pinned_index()
     return {"built": index, "folded": index.fold()}
 
 
@@ -65,10 +61,10 @@ class TestPinnedBytes:
     def test_written_files_have_the_pinned_sha256(self, tmp_path):
         for label, index in pinned_indexes().items():
             path = tmp_path / f"{label}.rambo2"
-            save_index(index, path, format="mmap")
+            save_index(index, path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == self.MMAP[label], label
             # ... and a file opened back writes the same bytes again.
-            save_index(open_index(path), tmp_path / "again", format="mmap")
+            save_index(open_index(path), tmp_path / "again")
             assert (tmp_path / "again").read_bytes() == path.read_bytes()
 
     def test_v1_fixtures_have_the_pinned_sha256(self):
@@ -89,14 +85,14 @@ class TestPinnedBytes:
     def test_v1_fixture_resaved_is_the_pinned_mmap_file(self, tmp_path):
         for label, path in V1_FIXTURES.items():
             resaved = tmp_path / f"{label}.rambo2"
-            save_index(open_index(path), resaved, format="mmap")
+            save_index(open_index(path), resaved)
             assert hashlib.sha256(resaved.read_bytes()).hexdigest() == self.MMAP[label], label
 
 
 class TestRoundTrip:
     def test_answers_identical_after_round_trip(self, built_rambo, small_dataset, tmp_path):
         path = tmp_path / "index.rambo"
-        written = save_index(built_rambo, path, format="mmap")
+        written = save_index(built_rambo, path)
         assert written == path.stat().st_size
         restored = open_index(path)
 
@@ -108,7 +104,7 @@ class TestRoundTrip:
 
     def test_bfu_bits_identical(self, built_rambo, tmp_path):
         path = tmp_path / "index.rambo"
-        save_index(built_rambo, path, format="mmap")
+        save_index(built_rambo, path)
         restored = open_index(path)
         for r in range(built_rambo.repetitions):
             for b in range(built_rambo.num_partitions):
@@ -116,21 +112,28 @@ class TestRoundTrip:
 
     def test_size_accounting_preserved(self, built_rambo, tmp_path):
         path = tmp_path / "index.rambo"
-        save_index(built_rambo, path, format="mmap")
+        save_index(built_rambo, path)
         restored = open_index(path)
         assert restored.size_in_bytes() == built_rambo.size_in_bytes()
 
     def test_insertion_after_load(self, built_rambo, tmp_path):
         path = tmp_path / "index.rambo"
-        save_index(built_rambo, path, format="mmap")
+        save_index(built_rambo, path)
         restored = open_index(path, mode="c")
+        restored.add_document(KmerDocument(name="post-load", terms=frozenset({"brand-new"})))
+        assert "post-load" in restored.query_term("brand-new").documents
+
+    def test_insertion_after_opening_a_v1_file(self):
+        """A v1 file is read into memory, so it opens writable."""
+        restored = open_index(V1_FIXTURES["built"])
+        assert not restored.is_mapped and not restored.readonly
         restored.add_document(KmerDocument(name="post-load", terms=frozenset({"brand-new"})))
         assert "post-load" in restored.query_term("brand-new").documents
 
     def test_folded_index_round_trip(self, built_rambo, small_dataset, tmp_path):
         folded = fold_rambo(built_rambo, 1)
         path = tmp_path / "folded.rambo"
-        save_index(folded, path, format="mmap")
+        save_index(folded, path)
         restored = open_index(path)
         assert restored.num_partitions == folded.num_partitions
         for term in sample_terms(small_dataset, per_doc=3):
@@ -144,7 +147,7 @@ class TestRoundTrip:
         distributed.add_documents(small_dataset.documents)
         stacked = stack_shards(distributed)
         path = tmp_path / "stacked.rambo"
-        save_index(stacked, path, format="mmap")
+        save_index(stacked, path)
         restored = open_index(path)
         for term in sample_terms(small_dataset, per_doc=3):
             assert restored.query_term(term).documents == stacked.query_term(term).documents
@@ -152,7 +155,7 @@ class TestRoundTrip:
     def test_empty_index_round_trip(self, small_rambo_config, tmp_path):
         index = Rambo(small_rambo_config)
         path = tmp_path / "empty.rambo"
-        save_index(index, path, format="mmap")
+        save_index(index, path)
         restored = open_index(path)
         assert restored.num_documents == 0
         assert restored.query_term("anything").documents == frozenset()

@@ -217,7 +217,7 @@ class TestSnapshotManager:
 
     def test_open_from_path(self, index, tmp_path):
         path = tmp_path / "served.rambo2"
-        save_index(index, path, format="mmap")
+        save_index(index, path)
         manager = SnapshotManager.open(path)
         assert manager.active.index.is_mapped
         assert manager.active.path == str(path)
@@ -432,7 +432,7 @@ class TestRotation:
     def test_rotate_from_file(self, service, tmp_path):
         new_index = _build_index(num_docs=6, offset=200)
         path = tmp_path / "next.rambo2"
-        save_index(new_index, path, format="mmap")
+        save_index(new_index, path)
         snapshot = service.rotate(path)
         assert snapshot.snapshot_id == 2 and snapshot.path == str(path)
         batch = service.query(TERM_POOL[:10])
@@ -621,7 +621,7 @@ class TestHTTPServer:
         client, _, _, _ = running_server
         replacement = _build_index(num_docs=4, offset=900)
         path = tmp_path / "rotated.rambo2"
-        save_index(replacement, path, format="mmap")
+        save_index(replacement, path)
         response = client.rotate(str(path))
         assert response["snapshot_id"] == 2
         assert response["documents"] == 4
@@ -863,7 +863,7 @@ class TestRequestPipeline:
         running = {}
         for kind in ("primary", "standby", "static"):
             root = tmp_path_factory.mktemp(kind)
-            save_index(_build_index(), root / "base.rambo2", format="mmap")
+            save_index(_build_index(), root / "base.rambo2")
             service = QueryService.open(root / "base.rambo2", tick_seconds=0.001)
             if kind == "primary":
                 service.attach_ingest(IngestEngine(service, root / "wal", fsync=False))
@@ -1044,7 +1044,7 @@ class TestCLI:
         from repro.core.serialization import open_index
 
         path = tmp_path / "cli.rambo2"
-        save_index(index, path, format="mmap")
+        save_index(index, path)
         assert main(["info", str(path), "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record == describe_index(open_index(path), path)
