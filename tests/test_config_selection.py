@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import bfu_bits_for, configure_from_sample, estimate_cardinality
-from repro.core.rambo import Rambo
+from repro.core.rambo import Rambo, RamboConfig
 from repro.kmers.extraction import KmerDocument
 
 
@@ -90,3 +93,20 @@ class TestConfigureFromSample:
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):
             configure_from_sample([])
+
+
+RECOMMENDED_GRID = Path(__file__).parent / "data" / "recommended-grid.json"
+
+
+class TestPinnedRule:
+    """``RamboConfig.recommended`` over K x V x p at two cardinalities; the
+    table is what the rule computed when it was pinned, so any change to the
+    B, R or BFU-size arithmetic shows up here as a moved row."""
+
+    def test_recommended_matches_the_pinned_grid(self):
+        rows = json.loads(RECOMMENDED_GRID.read_text(encoding="utf-8"))
+        assert len(rows) == 7 * 7 * 3 * 2
+        for K, c, V, p, B, R, bits, eta in rows:
+            config = RamboConfig.recommended(K, c, fp_rate=p, expected_multiplicity=V)
+            got = (config.num_partitions, config.repetitions, config.bfu_bits, config.bfu_hashes)
+            assert got == (B, R, bits, eta), (K, c, V, p)
