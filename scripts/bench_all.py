@@ -45,6 +45,7 @@ DEFAULT_BENCHES = (
     "benchmarks/bench_ablation.py",
     "benchmarks/bench_planner.py",
     "benchmarks/bench_replication.py",
+    "benchmarks/bench_scaling.py",
 )
 
 
@@ -123,7 +124,7 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "benches", nargs="*", default=list(DEFAULT_BENCHES),
         help="bench modules to run (default: the gated construction/query/"
-             "extraction/serving benches)",
+             "extraction/serving/scaling benches)",
     )
     parser.add_argument(
         "--json", default="BENCH_results.json", metavar="PATH",

@@ -58,7 +58,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 from itertools import islice
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -890,18 +892,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A reader that closes stdout early (``repro-rambo info idx | head -1``)
+    ends the command with exit code 1 and no traceback, following the
+    ``BrokenPipeError`` recipe of Python's :mod:`signal` documentation.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     threads = getattr(args, "threads", None)
-    if threads is not None:
-        if threads < 1:
-            raise SystemExit(f"--threads must be >= 1, got {threads}")
+    if threads is not None and threads < 1:
+        raise SystemExit(f"--threads must be >= 1, got {threads}")
+    try:
         # Scoped so a --threads choice cannot leak into later library calls
         # when main() is driven programmatically (tests, notebooks).
-        with num_threads(threads):
-            return args.func(args)
-    return args.func(args)
+        with num_threads(threads) if threads is not None else nullcontext():
+            code = args.func(args)
+        # Flushed here, so a closed pipe raises inside this try.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull so that
+        # flush cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()

@@ -4,8 +4,9 @@ Public entry points:
 
 * :class:`repro.core.rambo.Rambo` — the Repeated And Merged Bloom Filter
   index (Algorithms 1 and 2, plus the RAMBO+ sparse query of Section 5.1).
-* :class:`repro.core.rambo.RamboConfig` / :mod:`repro.core.config` — parameter
-  selection (``B``, ``R``, BFU size) following Section 5.1.
+* :meth:`repro.core.rambo.RamboConfig.recommended` — Section 5.1's one
+  sizing rule for ``B``, ``R`` and the BFU size; :mod:`repro.core.config`
+  pools its per-document cardinality from a sample.
 * :mod:`repro.core.folding` — the fold-over memory/accuracy trade of
   Section 5.3 (Table 4, Figure 3).
 * :mod:`repro.core.distributed` — the two-level-hash sharded construction of
@@ -14,7 +15,7 @@ Public entry points:
   hot path (Section 5.2's multi-threaded execution), configured with
   :func:`~repro.core.executor.set_num_threads` or ``REPRO_THREADS``.
 * :mod:`repro.core.analysis` — closed forms of Lemmas 4.1–4.6 and Theorems
-  4.3/4.5 used for parameter selection and the Figure 4 curves.
+  4.3/4.5, used by the sizing rule and the Figure 4 curves.
 """
 
 from repro.core.base import MembershipIndex, QueryResult
@@ -32,7 +33,6 @@ from repro.core.folding import fold_rambo, fold_to_target
 from repro.core.distributed import DistributedRambo, stack_shards
 from repro.core.parallel import merge_indexes
 from repro.core.serialization import describe_index, open_index, save_index
-from repro.core.tuning import CollectionProfile, TuningResult, tune_for_fp_rate, tune_for_memory
 from repro.core import analysis, config
 
 __all__ = [
@@ -55,10 +55,6 @@ __all__ = [
     "describe_index",
     "open_index",
     "save_index",
-    "CollectionProfile",
-    "TuningResult",
-    "tune_for_fp_rate",
-    "tune_for_memory",
     "analysis",
     "config",
 ]

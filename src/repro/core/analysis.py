@@ -97,7 +97,7 @@ def expected_query_time(
     return probe_cost + intersection_cost
 
 
-def optimal_partitions(num_documents: int, multiplicity: int, bfu_hashes: int) -> int:
+def optimal_partitions(num_documents: int, multiplicity: float, bfu_hashes: int) -> int:
     """Optimum of Lemma 4.4: ``B = sqrt(K V / eta)`` (at least 2)."""
     _validate_positive("num_documents", num_documents)
     _validate_positive("bfu_hashes", bfu_hashes)

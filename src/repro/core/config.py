@@ -1,20 +1,17 @@
-"""Parameter selection and the pooling estimator of Section 5.1.
+"""The pooling estimator of Section 5.1.
 
 The paper sets the BFU size by estimating the average document cardinality
 from a tiny fraction of the data ("pooling") rather than a full preprocessing
 pass.  :func:`estimate_cardinality` is that estimator;
-:func:`configure_from_sample` turns the estimate plus the target false-positive
-rate into a complete :class:`~repro.core.rambo.RamboConfig`.
+:func:`configure_from_sample` hands the estimate to the one sizing rule,
+:meth:`~repro.core.rambo.RamboConfig.recommended`.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Optional, Sequence
 
-from repro.bloom.bloom_filter import optimal_num_bits
-from repro.core.analysis import optimal_partitions, repetitions_needed
 from repro.core.rambo import RamboConfig
 from repro.kmers.extraction import DEFAULT_K, KmerDocument
 
@@ -49,26 +46,6 @@ def estimate_cardinality(
     return sum(len(doc) for doc in sample) / sample_size
 
 
-def bfu_bits_for(
-    mean_cardinality: float,
-    num_documents: int,
-    num_partitions: int,
-    fp_rate: float,
-) -> int:
-    """BFU size from the expected number of insertions per BFU.
-
-    Each BFU receives ``K/B`` documents in expectation, hence roughly
-    ``mean_cardinality * K / B`` term insertions; the size then follows the
-    standard Bloom-filter sizing rule for the per-BFU false-positive target.
-    """
-    if mean_cardinality <= 0:
-        raise ValueError(f"mean_cardinality must be positive, got {mean_cardinality}")
-    if num_documents <= 0 or num_partitions <= 0:
-        raise ValueError("num_documents and num_partitions must be positive")
-    expected_insertions = max(1, int(math.ceil(mean_cardinality * num_documents / num_partitions)))
-    return optimal_num_bits(expected_insertions, fp_rate)
-
-
 def configure_from_sample(
     documents: Sequence[KmerDocument],
     fp_rate: float = 0.01,
@@ -81,44 +58,29 @@ def configure_from_sample(
     sample_fraction: float = 0.05,
     num_documents: Optional[int] = None,
 ) -> RamboConfig:
-    """Full Section 5.1 parameter selection for a concrete collection.
+    """The one sizing rule with its cardinality pooled from *documents*.
 
-    ``B`` defaults to the Lemma 4.4 optimum, ``R`` to the Theorem 4.3 bound
-    scaled down by 4 — the paper's empirically chosen constants (R = 2 for
-    McCortex, R = 3 for FASTQ at K up to 2000) are well below the worst-case
-    bound, and this scaling reproduces them — and the BFU size to the
-    pooled-cardinality estimate.
-
-    ``num_documents`` overrides the collection size when *documents* is only
-    a sample of a larger (e.g. streamed) collection: ``B``, ``R`` and the
-    BFU size are then chosen for the full count while the per-document
-    cardinality is still pooled from the sample — exactly the paper's
-    "estimate from a tiny fraction" protocol.
+    :meth:`~repro.core.rambo.RamboConfig.recommended` picks ``B``, ``R`` and
+    the BFU size.  ``num_documents`` overrides the collection size when
+    *documents* is only a sample of a larger (e.g. streamed) collection:
+    ``B``, ``R`` and the BFU size are then chosen for the full count while
+    the per-document cardinality is still pooled from the sample — exactly
+    the paper's "estimate from a tiny fraction" protocol.
     """
-    if not documents:
-        raise ValueError("cannot configure from an empty collection")
     if num_documents is None:
         num_documents = len(documents)
     elif num_documents < len(documents):
         raise ValueError(
             f"num_documents ({num_documents}) is smaller than the sample ({len(documents)})"
         )
-    if num_partitions is None:
-        num_partitions = min(
-            num_documents,
-            optimal_partitions(num_documents, int(round(expected_multiplicity)), bfu_hashes),
-        )
-    if repetitions is None:
-        repetitions = max(2, repetitions_needed(num_documents, fp_rate) // 4)
-    mean_cardinality = estimate_cardinality(
-        documents, sample_fraction=sample_fraction, seed=seed
-    )
-    bfu_bits = bfu_bits_for(mean_cardinality, num_documents, num_partitions, fp_rate)
-    return RamboConfig(
-        num_partitions=num_partitions,
-        repetitions=repetitions,
-        bfu_bits=bfu_bits,
-        bfu_hashes=bfu_hashes,
+    return RamboConfig.recommended(
+        num_documents,
+        estimate_cardinality(documents, sample_fraction=sample_fraction, seed=seed),
+        fp_rate=fp_rate,
+        expected_multiplicity=expected_multiplicity,
         k=k,
         seed=seed,
+        bfu_hashes=bfu_hashes,
+        num_partitions=num_partitions,
+        repetitions=repetitions,
     )

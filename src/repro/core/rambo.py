@@ -28,7 +28,6 @@ per-term form); the batch engine is several times faster on term batches.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -36,6 +35,7 @@ import numpy as np
 
 from repro.bloom.bitarray import BitArray, popcount_words, probe_words_batch, set_rows
 from repro.bloom.bloom_filter import BloomFilter, _normalise_key, optimal_num_bits
+from repro.core.analysis import optimal_partitions, repetitions_needed
 from repro.core.base import (
     MembershipIndex,
     QueryResult,
@@ -148,42 +148,47 @@ class RamboConfig:
     def recommended(
         cls,
         num_documents: int,
-        terms_per_document: int,
+        terms_per_document: float,
         fp_rate: float = 0.01,
         expected_multiplicity: float = 2.0,
         k: int = DEFAULT_K,
         seed: int = 0,
+        bfu_hashes: int = 2,
+        num_partitions: Optional[int] = None,
+        repetitions: Optional[int] = None,
     ) -> "RamboConfig":
-        """Parameter selection following Section 5.1.
+        """Section 5.1's parameter selection: the one sizing rule.
 
-        ``B = O(sqrt(K * V / eta))`` (Lemma 4.4's optimum), ``R = O(log K -
-        log delta)`` (Theorem 4.3), and the BFU size is chosen from the
-        expected number of unique insertions per BFU (pooled estimate) at the
-        per-BFU false-positive target.
+        * ``B`` is Lemma 4.4's optimum ``sqrt(K V / eta)``, at most ``K``.
+        * ``R`` is Theorem 4.3's ``ceil(log K - log delta)`` divided by 4,
+          at least 2: the bound is worst-case, and the paper's empirical
+          R = 2 (McCortex) and R = 3 (FASTQ, K up to 2000) sit about a
+          quarter of the way to it.
+        * The BFU size is the Bloom size, at *fp_rate*, for the
+          ``floor(c K / B)`` insertions a BFU expects (``c`` is
+          *terms_per_document*, given or pooled by
+          :func:`repro.core.config.configure_from_sample`).
+
+        *num_partitions* / *repetitions* replace ``B`` / ``R`` as given.
         """
         if num_documents <= 0:
             raise ValueError(f"num_documents must be positive, got {num_documents}")
         if terms_per_document <= 0:
             raise ValueError(f"terms_per_document must be positive, got {terms_per_document}")
-        bfu_hashes = 2
-        num_partitions = max(
-            2, int(round(math.sqrt(num_documents * expected_multiplicity / bfu_hashes)))
-        )
-        num_partitions = min(num_partitions, num_documents)
-        # The max() wraps the whole expression deliberately: ceil(log K -
-        # log p) // 4 is 0 for small K / lenient p, and R = 0 would fail
-        # __post_init__.  (Guarded by a sweep test in tests/test_rambo.py.)
-        repetitions = max(
-            2, int(math.ceil(math.log(max(num_documents, 2)) - math.log(fp_rate))) // 4
-        )
-        expected_insertions = max(
-            1, int(terms_per_document * num_documents / num_partitions)
-        )
-        bfu_bits = optimal_num_bits(expected_insertions, fp_rate)
+        if num_partitions is None:
+            num_partitions = min(
+                num_documents,
+                optimal_partitions(num_documents, expected_multiplicity, bfu_hashes),
+            )
+        if repetitions is None:
+            # The max() wraps the division deliberately: the bound // 4 is 0
+            # for small K / lenient p, and R = 0 would fail __post_init__.
+            repetitions = max(2, repetitions_needed(num_documents, fp_rate) // 4)
+        expected_insertions = max(1, int(terms_per_document * num_documents / num_partitions))
         return cls(
             num_partitions=num_partitions,
             repetitions=repetitions,
-            bfu_bits=bfu_bits,
+            bfu_bits=optimal_num_bits(expected_insertions, fp_rate),
             bfu_hashes=bfu_hashes,
             k=k,
             seed=seed,

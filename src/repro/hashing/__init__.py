@@ -8,9 +8,8 @@ The paper relies on three distinct kinds of hashing:
   (:func:`repro.hashing.murmur3.double_hashes`).
 * **Partition hashing** ``phi_i`` that assigns a document identity to one of
   ``B`` partitions in repetition ``i``.  The paper requires a 2-universal
-  family; we provide both the classical Carter--Wegman construction over a
-  Mersenne prime and the multiply-shift family
-  (:mod:`repro.hashing.universal`).
+  family; we provide the classical Carter--Wegman construction over a
+  Mersenne prime (:mod:`repro.hashing.universal`).
 * **Node routing** ``tau`` used by the distributed construction of Section
   5.3, which is just another independent member of the same universal family.
 
@@ -29,7 +28,6 @@ from repro.hashing.murmur3 import (
 from repro.hashing.universal import (
     MERSENNE_PRIME_61,
     CarterWegmanHash,
-    MultiplyShiftHash,
     PartitionHashFamily,
     TwoLevelPartitionHash,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "hash_positions",
     "MERSENNE_PRIME_61",
     "CarterWegmanHash",
-    "MultiplyShiftHash",
     "PartitionHashFamily",
     "TwoLevelPartitionHash",
     "kmer_to_int",

@@ -2,13 +2,11 @@
 
 RAMBO's partition functions ``phi_1 .. phi_R`` map a document identity to one
 of ``B`` cells.  The paper requires 2-universality: for any two distinct
-documents the collision probability is exactly ``1/B``.  Two standard
-constructions are provided:
+documents the collision probability is exactly ``1/B``.  One standard
+construction is provided:
 
 * :class:`CarterWegmanHash` — ``((a*x + b) mod p) mod B`` over the Mersenne
   prime ``p = 2**61 - 1``; the textbook family with provable guarantees.
-* :class:`MultiplyShiftHash` — Dietzfelbinger's multiply-shift family, faster
-  and sufficient in practice (used for power-of-two ranges).
 
 :class:`PartitionHashFamily` bundles ``R`` independent members and is the
 object the RAMBO index actually consumes.  :class:`TwoLevelPartitionHash`
@@ -91,37 +89,6 @@ class CarterWegmanHash:
     def with_range(self, range_size: int) -> "CarterWegmanHash":
         """Return the same hash coefficients with a different output range."""
         return CarterWegmanHash(self.a, self.b, range_size, self.prime)
-
-
-@dataclass(frozen=True)
-class MultiplyShiftHash:
-    """Dietzfelbinger multiply-shift hash into ``[0, 2**out_bits)``.
-
-    ``h(x) = (a * x mod 2**64) >> (64 - out_bits)`` with odd multiplier ``a``.
-    """
-
-    a: int
-    out_bits: int
-
-    def __post_init__(self) -> None:
-        if self.a % 2 == 0:
-            raise ValueError("multiplier a must be odd")
-        if not (1 <= self.out_bits <= 63):
-            raise ValueError(f"out_bits must be in [1, 63], got {self.out_bits}")
-
-    @classmethod
-    def random(cls, out_bits: int, seed: int) -> "MultiplyShiftHash":
-        rng = random.Random(seed)
-        a = rng.getrandbits(64) | 1
-        return cls(a=a, out_bits=out_bits)
-
-    @property
-    def range_size(self) -> int:
-        return 1 << self.out_bits
-
-    def __call__(self, key: Key) -> int:
-        x = _key_to_int(key)
-        return ((self.a * x) & _MASK64) >> (64 - self.out_bits)
 
 
 @dataclass

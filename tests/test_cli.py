@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -412,6 +415,22 @@ class TestInfoAndFold:
         assert "documents       : 6" in output
         assert "partitions (B)" in output
         assert "BFU fill ratio" in output
+
+    def test_info_into_a_closed_pipe_exits_without_a_traceback(self, built_index_path):
+        """``info idx | head -1``: the reader is gone before the output is
+        written, so every write fails; the CLI exits 1 with stderr empty."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "info", str(built_index_path)],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 1
 
     def test_fold_shrinks_index(self, sequence_dir, tmp_path, capsys):
         # Build with an even, explicit B so folding is possible.

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.config import bfu_bits_for, configure_from_sample, estimate_cardinality
+from repro.core.config import configure_from_sample, estimate_cardinality
 from repro.core.rambo import Rambo, RamboConfig
 from repro.kmers.extraction import KmerDocument
 
@@ -46,20 +46,20 @@ class TestCardinalityEstimate:
 
 class TestBfuSizing:
     def test_bits_scale_with_load(self):
-        light = bfu_bits_for(mean_cardinality=100, num_documents=100, num_partitions=10, fp_rate=0.01)
-        heavy = bfu_bits_for(mean_cardinality=100, num_documents=1000, num_partitions=10, fp_rate=0.01)
-        assert heavy > light
+        light = RamboConfig.recommended(100, 100, fp_rate=0.01, num_partitions=10)
+        heavy = RamboConfig.recommended(1000, 100, fp_rate=0.01, num_partitions=10)
+        assert heavy.bfu_bits > light.bfu_bits
 
     def test_bits_shrink_with_more_partitions(self):
-        few = bfu_bits_for(100, 1000, 10, 0.01)
-        many = bfu_bits_for(100, 1000, 100, 0.01)
-        assert many < few
+        few = RamboConfig.recommended(1000, 100, fp_rate=0.01, num_partitions=10)
+        many = RamboConfig.recommended(1000, 100, fp_rate=0.01, num_partitions=100)
+        assert many.bfu_bits < few.bfu_bits
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bfu_bits_for(0, 10, 2, 0.01)
+            RamboConfig.recommended(10, 0)
         with pytest.raises(ValueError):
-            bfu_bits_for(10, 0, 2, 0.01)
+            RamboConfig.recommended(0, 10)
 
 
 class TestConfigureFromSample:
@@ -93,6 +93,25 @@ class TestConfigureFromSample:
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):
             configure_from_sample([])
+
+    @pytest.mark.parametrize("num_docs", [3, 40, 250])
+    @pytest.mark.parametrize("multiplicity", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("fp_rate", [0.01, 0.05])
+    @pytest.mark.parametrize("eta", [2, 3])
+    def test_agrees_with_recommended(self, num_docs, multiplicity, fp_rate, eta):
+        """Both callers size through the one rule: with every document
+        holding c terms the pooled estimate is exactly c, so the configs
+        are equal field for field."""
+        c = 17
+        sampled = configure_from_sample(
+            make_documents(num_docs, c), fp_rate=fp_rate, expected_multiplicity=multiplicity,
+            bfu_hashes=eta, k=13, seed=5,
+        )
+        given = RamboConfig.recommended(
+            num_docs, c, fp_rate=fp_rate, expected_multiplicity=multiplicity,
+            bfu_hashes=eta, k=13, seed=5,
+        )
+        assert sampled == given
 
 
 RECOMMENDED_GRID = Path(__file__).parent / "data" / "recommended-grid.json"

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.hashing.universal import (
     CarterWegmanHash,
     MERSENNE_PRIME_61,
-    MultiplyShiftHash,
     PartitionHashFamily,
     TwoLevelPartitionHash,
 )
@@ -73,27 +72,6 @@ class TestCarterWegman:
         # Every bucket should receive a reasonable share (within 3x of mean).
         mean = n / B
         assert all(mean / 3 <= count <= mean * 3 for count in buckets)
-
-
-class TestMultiplyShift:
-    def test_range(self):
-        h = MultiplyShiftHash.random(out_bits=5, seed=2)
-        assert h.range_size == 32
-        assert all(0 <= h(x) < 32 for x in range(500))
-
-    def test_even_multiplier_rejected(self):
-        with pytest.raises(ValueError):
-            MultiplyShiftHash(a=2, out_bits=4)
-
-    def test_out_bits_bounds(self):
-        with pytest.raises(ValueError):
-            MultiplyShiftHash(a=3, out_bits=0)
-        with pytest.raises(ValueError):
-            MultiplyShiftHash(a=3, out_bits=64)
-
-    def test_deterministic(self):
-        h = MultiplyShiftHash.random(out_bits=8, seed=1)
-        assert h("abc") == h("abc")
 
 
 class TestPartitionHashFamily:
